@@ -288,31 +288,104 @@ class EnumerationReport:
         return self.min_edges >= self.bound_min_edges
 
 
-def _defect_tensor(graph: SimpleGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Defect counts D[map, signing, vertex] plus the per-map choice bits."""
+def _defect_tensor(graph: SimpleGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Conflicts C[edge, map, signing], defects D[map, signing, vertex] (the
+    sum of the conflicts at each vertex) and the per-map choice bits.
+
+    Maps and signings are numbered as binary counters: vertex v is bit v of
+    a map and edge k (in sorted order) is bit k of a signing.
+    """
     n = graph.n
     m = len(graph.sorted_edges)
     maps = np.arange(1 << n, dtype=np.uint32)
     sgn = np.arange(1 << m, dtype=np.uint32)
+    C = np.zeros((m, 1 << n, 1 << m), dtype=np.int8)
     D = np.zeros((1 << n, 1 << m, n), dtype=np.int8)
     for k, (u, v) in enumerate(graph.sorted_edges):
         xor = ((maps >> u) ^ (maps >> v)) & 1
         sbit = (sgn >> k) & 1
-        conflict = xor[:, None] == sbit[None, :]
-        D[:, :, u] += conflict
-        D[:, :, v] += conflict
+        C[k] = xor[:, None] == sbit[None, :]
+        D[:, :, u] += C[k]
+        D[:, :, v] += C[k]
     mapbits = ((maps[:, None] >> np.arange(n)) & 1).astype(bool)
-    return D, mapbits
+    return C, D, mapbits
 
 
-def _has_bad_signing(
-    D: np.ndarray, mapbits: np.ndarray, caps: tuple[tuple[int, int], ...]
-) -> bool:
-    c1 = np.array([c[0] for c in caps], dtype=np.int8)
-    c2 = np.array([c[1] for c in caps], dtype=np.int8)
-    thresholds = np.where(mapbits, c2, c1)
-    valid = (D <= thresholds[:, None, :]).all(axis=2)
-    return bool((~valid.any(axis=0)).any())
+def _within_caps(
+    defects: np.ndarray, rich: np.ndarray, caps: list[tuple[int, int]]
+) -> dict[tuple[int, int], int]:
+    """For each cap pair, the bitset of (map, signing) at which one vertex's
+    defect is within it; bit (map << m) + signing, m the edge count.
+
+    `defects` is that vertex's D[map, signing], `rich` its choice per map.
+    """
+    c1 = np.array([c[0] for c in caps])
+    c2 = np.array([c[1] for c in caps])
+    bound = np.where(rich[None, :], c2[:, None], c1[:, None])
+    within = defects[None, :, :] <= bound[:, :, None]
+    rows = np.packbits(within.reshape(len(caps), -1), axis=1, bitorder="little")
+    return {cap: int.from_bytes(row.tobytes(), "little") for cap, row in zip(caps, rows)}
+
+
+class _WeightedTables:
+    """Bitsets over (map, signing) that decide criticality for every
+    capacity function on one graph.
+
+    A pair's valid (map, signing) set is the AND of one table per vertex.
+    OR-folding it over the maps leaves the set of colorable signings.
+    Phase 2 for G - e uses the endpoint tables with e's conflict taken
+    away; they no longer depend on e's sign bit, so each signing of G - e
+    appears twice in the fold and the full set still means colorable.
+    """
+
+    def __init__(self, graph: SimpleGraph, params: DefectParams):
+        n, m = graph.n, len(graph.sorted_edges)
+        caps = [(c1, c2) for c1 in range(-1, params.i + 1) for c2 in range(-1, params.j + 1)]
+        C, D, mapbits = _defect_tensor(graph)
+        self.caps = caps
+        self.n = n
+        self.shifts = [1 << (m + k) for k in range(n)]
+        self.full = (1 << (1 << m)) - 1
+        self.everything = (1 << (1 << (n + m))) - 1
+        self.vertex = [_within_caps(D[:, :, v], mapbits[:, v], caps) for v in range(n)]
+        self.edges = [
+            (
+                (u, _within_caps(D[:, :, u] - C[k], mapbits[:, u], caps)),
+                (w, _within_caps(D[:, :, w] - C[k], mapbits[:, w], caps)),
+                tuple(v for v in range(n) if v not in (u, w)),
+            )
+            for k, (u, w) in enumerate(graph.sorted_edges)
+        ]
+        self.isolated = n >= 2 and any(graph.degree(v) == 0 for v in range(n))
+
+    def _colorable(self, valid: int) -> int:
+        """The signings at which some map is valid."""
+        for s in self.shifts:
+            valid |= valid >> s
+        return valid & self.full
+
+    def decide(self, caps: tuple[tuple[int, int], ...]) -> tuple[str, int | None]:
+        """The verdict of is_critical(..., Exhaustive()) on these capacities,
+        with the number of the smallest uncolorable signing (None when
+        every signing is colorable)."""
+        vertex = self.vertex
+        valid = self.everything
+        for v in range(self.n):
+            valid &= vertex[v][caps[v]]
+        bad = self.full & ~self._colorable(valid)
+        if not bad:
+            return COLORABLE, None
+        witness = (bad & -bad).bit_length() - 1
+        if self.isolated or (self.n >= 2 and (-1, -1) in caps):
+            # An isolated or (-1, -1) vertex is a non-colorable proper subgraph.
+            return NOT_CRITICAL, witness
+        for (u, table_u), (w, table_w), others in self.edges:
+            valid = table_u[caps[u]] & table_w[caps[w]]
+            for v in others:
+                valid &= vertex[v][caps[v]]
+            if self._colorable(valid) != self.full:
+                return NOT_CRITICAL, witness
+        return CRITICAL, witness
 
 
 def enumerate_critical(
@@ -320,11 +393,14 @@ def enumerate_critical(
 ) -> EnumerationReport:
     """Survey all n-vertex graphs up to isomorphism for critical instances.
 
-    Uniform mode fixes capacities at (i, j) everywhere and checks, inside
-    the claimed parameter range, the minimum-edge bound and that no sparse
-    graph turns out non-colorable.  Weighted mode sweeps every capacity
-    function (n <= 4) and records any critical pair whose potential exceeds
-    the i - j - 1 ceiling.
+    Uniform mode fixes capacities at (i, j) everywhere, decides each graph
+    with is_critical, and checks, inside the claimed parameter range, the
+    minimum-edge bound and that no sparse graph turns out non-colorable.
+    Weighted mode sweeps every capacity function (n <= 4) and records any
+    critical pair whose potential exceeds the i - j - 1 ceiling.  Its
+    verdicts come from per-graph defect bitsets (numpy builds them once per
+    graph); each critical pair is cross-checked by the solver, which must
+    fail to color the smallest uncolorable signing the bitsets found.
     """
     if mode not in (MODE_UNIFORM, MODE_WEIGHTED):
         raise ValueError(f"unknown mode {mode!r}")
@@ -337,46 +413,41 @@ def enumerate_critical(
 
     graphs = graphs_up_to_iso(n)
     criticals: list[CriticalEntry] = []
-    potential_violations: list[CriticalEntry] = []
     sparsity_violations: list[CriticalEntry] = []
     pairs_examined = 0
 
     for graph in graphs:
-        if mode == MODE_UNIFORM:
-            cap_space: Iterable[tuple[tuple[int, int], ...]] = [((i, j),) * n]
-            D = mapbits = None
-        else:
-            per_vertex = [
-                (c1, c2) for c1 in range(-1, i + 1) for c2 in range(-1, j + 1)
-            ]
-            cap_space = itertools.product(per_vertex, repeat=n)
-            D, mapbits = _defect_tensor(graph)
+        if mode == MODE_WEIGHTED:
+            tables = _WeightedTables(graph, params)
+            for caps in itertools.product(tables.caps, repeat=n):
+                pairs_examined += 1
+                verdict, witness = tables.decide(caps)
+                if verdict != CRITICAL:
+                    continue
+                instance = WeightedInstance(graph, params, CapacityFunction(caps))
+                if find_coloring(instance, CoverSigning.from_bits(graph, witness)) is not None:
+                    raise RuntimeError("defect bitsets and solver disagree on colorability")
+                rho = subset_potential(instance, range(n))
+                criticals.append(CriticalEntry(graph.sorted_edges, caps, rho))
+            continue
 
-        for caps in cap_space:
-            pairs_examined += 1
-            if D is not None and not _has_bad_signing(D, mapbits, caps):
-                continue  # colorable for every signing, hence not critical
-            if n >= 2 and any(c == (-1, -1) for c in caps):
-                continue  # a single such vertex is a non-colorable proper subgraph
-            instance = WeightedInstance(graph, params, CapacityFunction(caps))
-            verdict = is_critical(instance, Exhaustive(max_edges=15))
-            if D is not None and verdict.witness is None:
-                raise RuntimeError("prefilter and solver disagree on colorability")
-            rho = subset_potential(instance, range(n))
-            entry = CriticalEntry(graph.sorted_edges, caps, rho)
-            if (
-                mode == MODE_UNIFORM
-                and in_guaranteed_range(params)
-                and verdict.witness is not None
-                and sparsity_test(graph, params).sparse
-            ):
-                sparsity_violations.append(entry)
-            if verdict.verdict != CRITICAL:
-                continue
+        pairs_examined += 1
+        instance = WeightedInstance.uniform(graph, params)
+        verdict = is_critical(instance, Exhaustive(max_edges=15))
+        rho = subset_potential(instance, range(n))
+        entry = CriticalEntry(graph.sorted_edges, instance.caps.pairs, rho)
+        if (
+            in_guaranteed_range(params)
+            and verdict.witness is not None
+            and sparsity_test(graph, params).sparse
+        ):
+            sparsity_violations.append(entry)
+        if verdict.verdict == CRITICAL:
             criticals.append(entry)
-            if in_guaranteed_range(params) and rho > ceiling:
-                potential_violations.append(entry)
 
+    potential_violations = [
+        e for e in criticals if in_guaranteed_range(params) and e.rho > ceiling
+    ]
     min_edges = min((len(e.edges) for e in criticals), default=None)
     return EnumerationReport(
         params=params,

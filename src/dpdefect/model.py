@@ -358,6 +358,9 @@ def parse_instance(text: str) -> tuple[WeightedInstance, CoverSigning | None]:
         if keyword == "params":
             if params is not None:
                 raise InstanceFormatError(lineno, "duplicate params line")
+            keys = [tok.split("=", 1)[0] for tok in tokens[1:]]
+            if len(set(keys)) != len(keys):
+                raise InstanceFormatError(lineno, "repeated key in params line")
             try:
                 fields = dict(tok.split("=", 1) for tok in tokens[1:])
                 params = DefectParams(int(fields.pop("i")), int(fields.pop("j")))
@@ -368,7 +371,7 @@ def parse_instance(text: str) -> tuple[WeightedInstance, CoverSigning | None]:
         elif keyword == "vertices":
             if n is not None:
                 raise InstanceFormatError(lineno, "duplicate vertices line")
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            if len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdigit()):
                 raise InstanceFormatError(lineno, "malformed vertices line")
             n = int(tokens[1])
         elif keyword == "cap":

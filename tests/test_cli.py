@@ -171,3 +171,10 @@ def test_malformed_file_reports_line(tmp_path, capsys):
     path.write_text("dpgraph 1\nparams i=1 j=2\nvertices 2\nedge 0 0 P\n")
     code, _, err = run(capsys, ["solve", str(path)])
     assert code == 2 and "line 4" in err
+
+
+def test_non_ascii_vertex_count_is_input_error(tmp_path, capsys):
+    path = tmp_path / "bad.dpg"
+    path.write_text("dpgraph 1\nparams i=1 j=2\nvertices \u00b2\n", encoding="utf-8")
+    code, _, err = run(capsys, ["solve", str(path)])
+    assert code == 2 and "line 3" in err

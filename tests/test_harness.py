@@ -1,6 +1,11 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dpdefect.harness as harness
 
 from dpdefect import (
     COLORABLE,
@@ -8,13 +13,13 @@ from dpdefect import (
     NOT_CRITICAL,
     UNREFUTED,
     CapacityFunction,
+    CoverSigning,
     DefectParams,
     Exhaustive,
     Reduced,
     Sampled,
     SimpleGraph,
     WeightedInstance,
-    colorable_all_covers,
     enumerate_critical,
     find_coloring,
     flag_path_instance,
@@ -23,7 +28,7 @@ from dpdefect import (
     sampled_edge_deletion_sweep,
     verify_sharpness_suite,
 )
-from dpdefect.harness import _defect_tensor, _has_bad_signing
+from dpdefect.harness import _WeightedTables
 from conftest import cycle_graph, k2, random_caps, random_graph
 
 P12 = DefectParams(1, 2)
@@ -174,17 +179,64 @@ def test_enumerate_weighted_guard():
         enumerate_critical(P12, 5, mode="weighted")
 
 
-def test_prefilter_agrees_with_solver():
+def _assert_bitsets_match_solver(graph, params, caps, tables=None):
+    """The bitset decision against is_critical(Exhaustive); returns the verdict."""
+    tables = tables or _WeightedTables(graph, params)
+    verdict, witness = tables.decide(caps)
+    slow = is_critical(WeightedInstance(graph, params, CapacityFunction(caps)), Exhaustive())
+    assert verdict == slow.verdict, (graph, params, caps)
+    want = None if slow.witness is None else CoverSigning.from_bits(graph, witness)
+    assert slow.witness == want
+    return slow
+
+
+def test_bitset_decision_matches_solver_on_every_n3_weighted_pair():
+    seen = {COLORABLE: 0, NOT_CRITICAL: 0, CRITICAL: 0}
+    for graph in graphs_up_to_iso(3):
+        tables = _WeightedTables(graph, P12)
+        for caps in itertools.product(tables.caps, repeat=3):
+            seen[_assert_bitsets_match_solver(graph, P12, caps, tables).verdict] += 1
+    assert sum(seen.values()) == 6912
+    assert seen[CRITICAL] == 493
+
+
+def test_bitset_decision_matches_solver_on_random_instances():
     rng = random.Random(2718)
-    for _ in range(120):
-        graph = random_graph(rng, rng.randint(1, 4), 0.6)
+    phase2_failures = isolated = 0
+    for _ in range(400):
+        graph = random_graph(rng, rng.randint(1, 4), rng.choice([0.4, 0.6, 0.9]))
         params = DefectParams(rng.randint(0, 2), rng.randint(2, 4))
-        caps = random_caps(rng, graph.n, params)
-        inst = WeightedInstance(graph, params, caps)
-        D, mapbits = _defect_tensor(graph)
-        fast = _has_bad_signing(D, mapbits, caps.pairs)
-        slow = not colorable_all_covers(inst).colorable
-        assert fast == slow
+        slow = _assert_bitsets_match_solver(
+            graph, params, random_caps(rng, graph.n, params).pairs
+        )
+        phase2_failures += slow.failing_edge is not None
+        isolated += slow.failing_vertex is not None
+    assert phase2_failures and isolated
+
+
+@st.composite
+def small_weighted_pairs(draw):
+    n = draw(st.integers(1, 4))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [e for e, k in zip(pairs, keep) if k]
+    i = draw(st.integers(0, 2))
+    params = DefectParams(i, draw(st.integers(i, i + 3)))
+    cap = st.tuples(st.integers(-1, params.i), st.integers(-1, params.j))
+    caps = draw(st.lists(cap, min_size=n, max_size=n))
+    return SimpleGraph.from_edges(n, edges), params, tuple(caps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_weighted_pairs())
+def test_bitset_decision_property(pair):
+    _assert_bitsets_match_solver(*pair)
+
+
+def test_weighted_cross_check_rejects_a_colorable_witness(monkeypatch):
+    monkeypatch.setattr(harness, "find_coloring", lambda inst, signing: (0,) * inst.n)
+    with pytest.raises(RuntimeError):
+        enumerate_critical(P12, 2, mode="weighted")
 
 
 def _naive_colorable_all(inst):

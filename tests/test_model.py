@@ -84,6 +84,20 @@ def test_parse_missing_header():
     assert exc.value.line == 1
 
 
+def test_parse_non_ascii_vertex_count():
+    with pytest.raises(InstanceFormatError) as exc:
+        parse_instance("dpgraph 1\nparams i=1 j=2\nvertices \u00b2\n")
+    assert exc.value.line == 3
+    assert "malformed vertices" in str(exc.value)
+
+
+def test_parse_repeated_params_key():
+    with pytest.raises(InstanceFormatError) as exc:
+        parse_instance("dpgraph 1\nparams i=1 i=0 j=2\nvertices 2\n")
+    assert exc.value.line == 2
+    assert "repeated key" in str(exc.value)
+
+
 def test_roundtrip_k2():
     inst = WeightedInstance.uniform(k2(), DefectParams(1, 2))
     signing = CoverSigning.uniform(inst.graph, TWISTED)
