@@ -3,8 +3,8 @@
 Decides (i, j)-defective colorability of simple graphs under arbitrary
 full 2-fold covers and per-vertex capacity pairs, computes potential and
 discharging quantities exactly, generates the sharp flag-path
-constructions, and certifies their criticality by symmetry-reduced
-exhaustive search.
+constructions, and certifies their criticality exactly from flag
+profiles.
 """
 
 from .model import (
@@ -63,9 +63,11 @@ from .constructions import (
     edge_orbits,
     flag_path_graph,
     flag_path_instance,
+    flag_profiles,
     flag_sign_classes,
     hard_cover_signing,
     make_flag,
+    maximal_profiles,
     parallel_flag_signing,
     reduced_cover_iterator,
     twisted_flag_signing,

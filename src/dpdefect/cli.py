@@ -281,7 +281,7 @@ def _cmd_critical(args) -> tuple[int, dict, list[str]]:
         "witness": _signing_json(verdict.witness),
         "failing_edge": list(verdict.failing_edge) if verdict.failing_edge else None,
         "counters": {
-            "signings": verdict.covers_checked,
+            "signings": verdict.solver_signings,
             "classes": verdict.covers_checked,
             "edges_checked": verdict.edges_checked,
             "nodes_expanded": verdict.nodes_expanded,

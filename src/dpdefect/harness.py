@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -20,10 +21,14 @@ import numpy as np
 
 from .constructions import (
     ConstructionSpec,
+    FlagSpec,
+    Profile,
     edge_orbits,
     flag_path_instance,
+    flag_profiles,
     hard_cover_signing,
-    reduced_cover_iterator,
+    maximal_profiles,
+    reduced_cover_iterator,  # noqa: F401  (bench/workloads.py calls it through here)
     verify_counts,
 )
 from .model import (
@@ -57,6 +62,13 @@ class Exhaustive:
 
 @dataclass(frozen=True)
 class Reduced:
+    """Certify a flag-path host from flag profiles instead of signings.
+
+    `spec` must describe the instance's graph exactly, and the flags on
+    each base must agree in shape and in top and middle capacities;
+    is_critical raises ValueError otherwise.  Base capacities may differ.
+    """
+
     spec: ConstructionSpec
 
 
@@ -77,11 +89,12 @@ class CriticalityVerdict:
     failing_edge: Edge | None
     failing_vertex: int | None
     failing_witness: CoverSigning | None
-    covers_checked: int
+    covers_checked: int  # signings, or profile combinations under Reduced
     edges_checked: int
     nodes_expanded: int
     edge_orbit_map: tuple[tuple[Edge, ...], ...] | None
     potential_ok: bool | None
+    solver_signings: int = 0  # signings handed to the solver
 
 
 def in_guaranteed_range(params: DefectParams) -> bool:
@@ -91,29 +104,165 @@ def in_guaranteed_range(params: DefectParams) -> bool:
 
 def _phase_covers(
     instance: WeightedInstance, strategy: Strategy, deleted: Edge | None
-) -> tuple[CoverSigning | None, int, int]:
-    """One colorability-for-all-covers phase: (witness, examined, nodes)."""
+) -> tuple[CoverSigning | None, int, int, int]:
+    """One colorability-for-all-covers phase: (witness, examined, signings
+    solved, nodes); every examined signing goes to the solver."""
     inst = instance.without_edge(deleted) if deleted else instance
     if isinstance(strategy, Exhaustive):
         res = colorable_all_covers(inst, max_edges=strategy.max_edges)
-        return res.witness, res.signings_examined, res.nodes_expanded
-    if isinstance(strategy, Reduced):
-        covers = reduced_cover_iterator(instance.graph, strategy.spec, deleted)
-        res = colorable_all_covers(inst, signings=covers)
-        return res.witness, res.signings_examined, res.nodes_expanded
+        return res.witness, res.signings_examined, res.signings_examined, res.nodes_expanded
     if isinstance(strategy, Sampled):
         seed = strategy.seed
         if deleted is not None:
             seed += 1 + instance.graph.edge_index[deleted]
         rep = sample_covers(inst, strategy.count, seed)
-        return rep.witness, rep.examined, rep.nodes_expanded
+        return rep.witness, rep.examined, rep.examined, rep.nodes_expanded
     raise TypeError(f"unknown strategy {strategy!r}")
 
 
-def _check_deleted_edge(args) -> tuple[Edge, CoverSigning | None, int, int]:
+def _check_deleted_edge(args) -> tuple[Edge, CoverSigning | None, int, int, int]:
     instance, strategy, edge = args
-    witness, examined, nodes = _phase_covers(instance, strategy, edge)
-    return edge, witness, examined, nodes
+    return (edge, *_phase_covers(instance, strategy, edge))
+
+
+def _deleted_edge_results(work: list, workers: int) -> Iterator[tuple]:
+    """`_check_deleted_edge` over `work`, yielded in order.  With workers > 1
+    the edges run in a process pool; closing the iterator early cancels
+    the edges that have not started."""
+    if workers <= 1 or len(work) <= 1:
+        yield from map(_check_deleted_edge, work)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_check_deleted_edge, item) for item in work]
+        try:
+            for future in futures:
+                yield future.result()
+        finally:
+            for future in futures:
+                future.cancel()
+
+
+def _check_reduced_spec(instance: WeightedInstance, spec: ConstructionSpec) -> None:
+    """Raise ValueError unless flag profiles decide this instance exactly."""
+    graph, caps = instance.graph, instance.caps
+    if len(spec.flags_by_base) != spec.m or any(
+        f.base != base for base, flags in zip(spec.path, spec.flags_by_base) for f in flags
+    ):
+        raise ValueError("every flag must hang from the path vertex of its base")
+    vertices = [*spec.path, *(v for f in spec.all_flags for v in (f.top, *f.middles))]
+    edges = {*spec.path_edges, *(e for f in spec.all_flags for e in f.edges)}
+    if sorted(vertices) != list(range(graph.n)) or edges != graph.edges:
+        raise ValueError("the spec's path and flags are not the instance's graph")
+    for base, flags in zip(spec.path, spec.flags_by_base):
+        if (
+            len({len(f.middles) for f in flags}) > 1
+            or len({caps[f.top] for f in flags}) > 1
+            or len({caps[u] for f in flags for u in f.middles}) > 1
+        ):
+            raise ValueError(
+                f"flags on base {base} differ in shape or in top or middle capacities"
+            )
+
+
+class _FlagProfiles:
+    """Colorability of a flag-path host, and of the host minus one edge,
+    for every signing at once.
+
+    Once every base has a choice, each flag puts at least its profile on
+    its base (see `flag_profiles`), and the flags on a base add up to a
+    load.  A signing is colorable iff some choice along the path keeps
+    every base within its capacity after its path conflicts and its load.
+    A larger load only makes that harder, so each base needs only the
+    loads summed from its flags' maximal profiles; intact flags on a base
+    are interchangeable, so k of them with two maximal profiles give k+1.
+    """
+
+    def __init__(self, instance: WeightedInstance, spec: ConstructionSpec):
+        _check_reduced_spec(instance, spec)
+        self.instance = instance
+        self.spec = spec
+        self.caps = [instance.caps[v] for v in spec.path]
+        # the first flag stands for its base: all agree in shape and caps
+        self.intact = [
+            self._options(flags[0], None) if flags else [] for flags in spec.flags_by_base
+        ]
+
+    def _options(
+        self, flag: FlagSpec, deleted: Edge | None
+    ) -> list[tuple[Profile, tuple[int, ...]]]:
+        profiles = flag_profiles(flag, self.instance.caps, deleted)
+        return [(p, profiles[p]) for p in maximal_profiles(profiles)]
+
+    def _loads(self, b: int, deleted: Edge | None) -> dict[tuple[int, int], list]:
+        """Maximal loads on base b, each with the (flag, profile, signs) of
+        every flag there that make it up.  A load above a capacity is cut
+        to capacity + 1, which fails just the same."""
+        flags = self.spec.flags_by_base[b]
+        intact = [f for f in flags if deleted not in f.edges]
+        damaged = [
+            [(f, p, signs) for p, signs in self._options(f, deleted)]
+            for f in flags if deleted in f.edges
+        ]
+        cap = self.caps[b]
+        loads: dict[tuple[int, int], list] = {}
+        for hurt in itertools.product(*damaged):
+            for multiset in itertools.combinations_with_replacement(
+                self.intact[b], len(intact)
+            ):
+                picked = [*hurt, *((f, p, s) for f, (p, s) in zip(intact, multiset))]
+                load = tuple(
+                    min(sum(p[x] for _, p, _ in picked), cap[x] + 1) for x in (0, 1)
+                )
+                loads.setdefault(load, picked)
+        return {load: loads[load] for load in maximal_profiles(loads)}
+
+    def uncolorable(self, deleted: Edge | None) -> tuple[CoverSigning | None, int]:
+        """An uncolorable signing of the host minus `deleted` (the first in
+        path-signing then load order), or None; and the number of (path
+        signing, loads) combinations decided."""
+        m = self.spec.m
+        path = [(e, k, k + 1) for k, e in enumerate(self.spec.path_edges) if e != deleted]
+        options = [list(self._loads(b, deleted).items()) for b in range(m)]
+        decided = 0
+        for signs in range(1 << len(path)):
+            # per path map: each base's choice and the room its path conflicts leave
+            rows = []
+            for x in range(1 << m):
+                room = [self.caps[b][(x >> b) & 1] for b in range(m)]
+                for k, (_, a, c) in enumerate(path):
+                    if ((x >> a) ^ (x >> c)) & 1 == (signs >> k) & 1:
+                        room[a] -= 1
+                        room[c] -= 1
+                rows.append([((x >> b) & 1, room[b]) for b in range(m)])
+            for combo in itertools.product(*options):
+                decided += 1
+                if not any(
+                    all(load[x] <= r for (x, r), (load, _) in zip(row, combo))
+                    for row in rows
+                ):
+                    return self._signing(deleted, path, signs, combo), decided
+        return None, decided
+
+    def _signing(self, deleted, path, signs, combo) -> CoverSigning:
+        """The signing a path signing and a load per base stand for."""
+        table = {e: (signs >> k) & 1 for k, (e, _, _) in enumerate(path)}
+        for _, picked in combo:
+            for flag, _, flag_signs in picked:
+                table.update(zip((e for e in flag.edges if e != deleted), flag_signs))
+        graph = self.instance.graph
+        return CoverSigning.from_dict(
+            graph if deleted is None else graph.without_edge(deleted), table
+        )
+
+    def phase(self, deleted: Edge | None) -> tuple[CoverSigning | None, int, int, int]:
+        """Like `_phase_covers`: the solver only cross-checks the witness."""
+        witness, decided = self.uncolorable(deleted)
+        if witness is None:
+            return None, decided, 0, 0
+        inst = self.instance if deleted is None else self.instance.without_edge(deleted)
+        if find_coloring(inst, witness) is not None:
+            raise RuntimeError("flag profiles and solver disagree on colorability")
+        return witness, decided, 1, 0
 
 
 def is_critical(
@@ -122,20 +271,38 @@ def is_critical(
     """Certify, refute, or (for sampled strategies) fail to refute criticality.
 
     Phase 1 looks for a signing with no valid coloring; phase 2 checks that
-    deleting any single edge restores colorability for every signing.  With
-    a Reduced strategy both phases run over symmetry-class representatives
-    and phase 2 visits one edge per automorphism orbit.  Sampled runs never
+    deleting any single edge restores colorability for every signing, and
+    stops at the first edge (in order) that does not.  Sampled runs never
     certify: a clean sampled pass yields the non-certifying UNREFUTED.
+
+    Exhaustive and Sampled runs hand signings to the solver, and with
+    workers > 1 spread phase 2's edges over a process pool.  A Reduced run
+    decides both phases from flag profiles: the fewest conflicts each flag
+    can put on its base, for a poor and a rich base, with its top and
+    middles valid.  It tries every path signing with every maximal load per
+    base; a damaged flag gets the profiles of its remaining edges, and a
+    deleted path edge splits the path.  Phase 2 visits one edge per
+    automorphism orbit.  The solver only cross-checks each uncolorable
+    signing the profiles rebuild, and `workers` does not matter.
     """
     graph = instance.graph
     certifying = not isinstance(strategy, Sampled)
-    orbit_map = edge_orbits(strategy.spec) if isinstance(strategy, Reduced) else None
+    if isinstance(strategy, Reduced):
+        orbit_map = edge_orbits(strategy.spec)
+        edges_to_check: list[Edge] = [orbit[0] for orbit in orbit_map]
+        phase = _FlagProfiles(instance, strategy.spec).phase
+    else:
+        orbit_map = None
+        edges_to_check = list(graph.sorted_edges)
 
-    witness, covers, nodes = _phase_covers(instance, strategy, None)
+        def phase(deleted):
+            return _phase_covers(instance, strategy, deleted)
+
+    witness, covers, solved, nodes = phase(None)
     if witness is None:
         return CriticalityVerdict(
             COLORABLE, certifying, None, None, None, None,
-            covers, 0, nodes, orbit_map, None,
+            covers, 0, nodes, orbit_map, None, solved,
         )
 
     if graph.n >= 2:
@@ -144,42 +311,38 @@ def is_critical(
                 # Isolated vertex: {v} or G - v is a non-colorable proper subgraph.
                 return CriticalityVerdict(
                     NOT_CRITICAL, True, witness, None, v, None,
-                    covers, 0, nodes, orbit_map, None,
+                    covers, 0, nodes, orbit_map, None, solved,
                 )
 
-    if orbit_map is not None:
-        edges_to_check: list[Edge] = [orbit[0] for orbit in orbit_map]
+    if isinstance(strategy, Reduced):
+        results = ((e, *phase(e)) for e in edges_to_check)
     else:
-        edges_to_check = list(graph.sorted_edges)
-
-    work = [(instance, strategy, e) for e in edges_to_check]
-    if workers > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_check_deleted_edge, work))
-    else:
-        results = [_check_deleted_edge(item) for item in work]
+        work = [(instance, strategy, e) for e in edges_to_check]
+        results = _deleted_edge_results(work, workers)
 
     edges_checked = 0
-    for edge, bad, examined, edge_nodes in results:
-        covers += examined
-        nodes += edge_nodes
-        edges_checked += 1
-        if bad is not None:
-            return CriticalityVerdict(
-                NOT_CRITICAL, True, witness, edge, None, bad,
-                covers, edges_checked, nodes, orbit_map, None,
-            )
+    with closing(results):
+        for edge, bad, examined, edge_solved, edge_nodes in results:
+            covers += examined
+            solved += edge_solved
+            nodes += edge_nodes
+            edges_checked += 1
+            if bad is not None:
+                return CriticalityVerdict(
+                    NOT_CRITICAL, True, witness, edge, None, bad,
+                    covers, edges_checked, nodes, orbit_map, None, solved,
+                )
 
     if not certifying:
         return CriticalityVerdict(
             UNREFUTED, False, witness, None, None, None,
-            covers, edges_checked, nodes, orbit_map, None,
+            covers, edges_checked, nodes, orbit_map, None, solved,
         )
     rho = subset_potential(instance, range(graph.n))
     potential_ok = rho <= instance.params.i - instance.params.j - 1
     return CriticalityVerdict(
         CRITICAL, True, witness, None, None, None,
-        covers, edges_checked, nodes, orbit_map, potential_ok,
+        covers, edges_checked, nodes, orbit_map, potential_ok, solved,
     )
 
 
@@ -540,9 +703,4 @@ def sampled_edge_deletion_sweep(
     """
     strategy = Sampled(count, seed)
     work = [(instance, strategy, e) for e in instance.graph.sorted_edges]
-    if workers > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_check_deleted_edge, work))
-    else:
-        results = [_check_deleted_edge(item) for item in work]
-    return tuple((edge, bad) for edge, bad, _, _ in results)
+    return tuple((edge, bad) for edge, bad, *_ in _deleted_edge_results(work, workers))

@@ -27,6 +27,7 @@ CHOICE_CHARS = "PR"
 SIGN_CHARS = "PT"
 
 FORMAT_HEADER = "dpgraph 1"
+MAX_VERTICES = 100_000  # ceiling on `vertices N`, checked before any allocation
 
 
 class InstanceFormatError(ValueError):
@@ -40,6 +41,15 @@ class InstanceFormatError(ValueError):
 
 def _normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
+
+
+def _ascii_int(token: str) -> int:
+    """An optional minus sign and ASCII digits as an int; ValueError
+    otherwise (int() alone also takes '+', '_' and non-ASCII digits)."""
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
 
 
 @dataclass(frozen=True)
@@ -327,10 +337,11 @@ def parse_instance(text: str) -> tuple[WeightedInstance, CoverSigning | None]:
 
         dpgraph 1
         params i=<int> j=<int>
-        vertices <n>
+        vertices <n>             # 0 <= n <= MAX_VERTICES
         cap <v> <c1> <c2>        # optional; default (i, j)
         edge <u> <v> [P|T]       # sign optional, but all-or-none per file
 
+    An integer is ASCII digits with an optional leading minus sign.
     Returns the instance and, when every edge line carried a sign, the
     cover signing.  Raises InstanceFormatError with a line number otherwise.
     """
@@ -363,7 +374,7 @@ def parse_instance(text: str) -> tuple[WeightedInstance, CoverSigning | None]:
                 raise InstanceFormatError(lineno, "repeated key in params line")
             try:
                 fields = dict(tok.split("=", 1) for tok in tokens[1:])
-                params = DefectParams(int(fields.pop("i")), int(fields.pop("j")))
+                params = DefectParams(_ascii_int(fields.pop("i")), _ascii_int(fields.pop("j")))
                 if fields:
                     raise KeyError
             except (ValueError, KeyError):
@@ -371,14 +382,21 @@ def parse_instance(text: str) -> tuple[WeightedInstance, CoverSigning | None]:
         elif keyword == "vertices":
             if n is not None:
                 raise InstanceFormatError(lineno, "duplicate vertices line")
-            if len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdigit()):
-                raise InstanceFormatError(lineno, "malformed vertices line")
-            n = int(tokens[1])
+            try:
+                if len(tokens) != 2 or tokens[1].startswith("-"):
+                    raise ValueError
+                n = _ascii_int(tokens[1])
+            except ValueError:
+                raise InstanceFormatError(lineno, "malformed vertices line") from None
+            if n > MAX_VERTICES:
+                raise InstanceFormatError(
+                    lineno, f"vertex count {n} exceeds the ceiling {MAX_VERTICES}"
+                )
         elif keyword == "cap":
             if params is None or n is None:
                 raise InstanceFormatError(lineno, "cap line before params/vertices")
             try:
-                v, c1, c2 = (int(t) for t in tokens[1:])
+                v, c1, c2 = (_ascii_int(t) for t in tokens[1:])
             except ValueError:
                 raise InstanceFormatError(lineno, "malformed cap line") from None
             if not (0 <= v < n):
@@ -394,7 +412,7 @@ def parse_instance(text: str) -> tuple[WeightedInstance, CoverSigning | None]:
             if len(tokens) not in (3, 4):
                 raise InstanceFormatError(lineno, "malformed edge line")
             try:
-                u, v = int(tokens[1]), int(tokens[2])
+                u, v = _ascii_int(tokens[1]), _ascii_int(tokens[2])
             except ValueError:
                 raise InstanceFormatError(lineno, "malformed edge line") from None
             if u == v:

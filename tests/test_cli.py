@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from dpdefect import (
     CapacityFunction,
     DefectParams,
@@ -178,3 +180,19 @@ def test_non_ascii_vertex_count_is_input_error(tmp_path, capsys):
     path.write_text("dpgraph 1\nparams i=1 j=2\nvertices \u00b2\n", encoding="utf-8")
     code, _, err = run(capsys, ["solve", str(path)])
     assert code == 2 and "line 3" in err
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "params i=1 j=2\nvertices 2\ncap \u0661 0 0\nedge 0 1 P\n",
+        "params i=1 j=2\nvertices 2\nedge 0 \u0661 P\n",
+        "params i=\u0661 j=2\nvertices 2\nedge 0 1 P\n",
+        "params i=1 j=2\nvertices 1000000000\nedge 0 1 P\n",
+    ],
+)
+def test_bad_integer_fields_are_input_errors(tmp_path, capsys, body):
+    path = tmp_path / "bad.dpg"
+    path.write_text("dpgraph 1\n" + body, encoding="utf-8")
+    code, stdout, err = run(capsys, ["solve", str(path)])
+    assert code == 2 and stdout == "" and "line" in err

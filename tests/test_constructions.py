@@ -12,6 +12,7 @@ from dpdefect import (
     ConstructionSpec,
     CoverSigning,
     DefectParams,
+    FlagSigning,
     GraphBuilder,
     WeightedInstance,
     classify_vertices,
@@ -20,9 +21,11 @@ from dpdefect import (
     find_coloring,
     flag_path_graph,
     flag_path_instance,
+    flag_profiles,
     flag_sign_classes,
     hard_cover_signing,
     make_flag,
+    maximal_profiles,
     parallel_flag_signing,
     reduced_cover_iterator,
     serialize_instance,
@@ -192,6 +195,38 @@ def test_twisted_flag_forces_one_conflict_at_poor_base():
         params = DefectParams(i, 2 * i)
         assert _min_base_conflicts(params, twisted_flag_signing(params), 0) == 1
         assert _min_base_conflicts(params, twisted_flag_signing(params), RICH) == 0
+
+
+def test_flag_profiles_match_the_brute_force_base_conflicts():
+    for params in (P12, DefectParams(2, 4)):
+        graph, _, flag = one_flag_host(params)
+        caps = WeightedInstance.uniform(graph, params).caps
+        profiles = flag_profiles(flag, caps)
+        want = set()
+        for signing in flag_sign_classes(params):
+            want.add(tuple(
+                math.inf if c is None else c
+                for c in (_min_base_conflicts(params, signing, x) for x in (0, RICH))
+            ))
+        assert set(profiles) == want == {(0, 0), (0, 1), (1, 0)}
+        for profile, signs in profiles.items():
+            signing = FlagSigning(signs[0], tuple(zip(signs[1::2], signs[2::2])))
+            got = tuple(_min_base_conflicts(params, signing, x) for x in (0, RICH))
+            assert got == profile
+        assert maximal_profiles(profiles) == [(0, 1), (1, 0)]
+
+
+def test_flag_profiles_of_damaged_and_starved_flags():
+    graph, _, flag = one_flag_host(P12)
+    caps = WeightedInstance.uniform(graph, P12).caps
+    for edge in flag.edges:
+        assert set(flag_profiles(flag, caps, edge)) == {(0, 0)}
+    with pytest.raises(ValueError):
+        flag_profiles(flag, caps, (0, 99))
+    starved = CapacityFunction(((1, 2), (-1, -1), (1, 2), (1, 2)))
+    assert set(flag_profiles(flag, starved)) == {(math.inf, math.inf)}
+    assert maximal_profiles([(0, 1), (1, 0), (1, 1), (0, 0)]) == [(1, 1)]
+    assert maximal_profiles([(math.inf, 0), (0, 1), (1, 0)]) == [(math.inf, 0), (0, 1)]
 
 
 def _orbit_count_by_exhaustion(i: int) -> int:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from concurrent.futures import Future
 
 import pytest
 from hypothesis import given, settings
@@ -18,17 +19,22 @@ from dpdefect import (
     Exhaustive,
     Reduced,
     Sampled,
+    ConstructionSpec,
+    GraphBuilder,
     SimpleGraph,
     WeightedInstance,
+    colorable_all_covers,
     enumerate_critical,
     find_coloring,
     flag_path_instance,
     graphs_up_to_iso,
     is_critical,
+    make_flag,
+    reduced_cover_iterator,
     sampled_edge_deletion_sweep,
     verify_sharpness_suite,
 )
-from dpdefect.harness import _WeightedTables
+from dpdefect.harness import _FlagProfiles, _WeightedTables
 from conftest import cycle_graph, k2, random_caps, random_graph
 
 P12 = DefectParams(1, 2)
@@ -343,3 +349,170 @@ def test_sampled_edge_deletion_sweep_deterministic():
     assert a == b
     assert len(a) == 25
     assert all(w is None for _, w in a)
+
+
+# ---------------------------------------------------------------------------
+# Reduced certification from flag profiles
+# ---------------------------------------------------------------------------
+
+def _flag_host(params, counts):
+    """A path of len(counts) bases with counts[b] flags on base b."""
+    builder = GraphBuilder(len(counts))
+    for b in range(len(counts) - 1):
+        builder.add_edge(b, b + 1)
+    flags = tuple(
+        tuple(make_flag(builder, b, params) for _ in range(c)) for b, c in enumerate(counts)
+    )
+    return builder.graph(), ConstructionSpec(params, tuple(range(len(counts))), flags)
+
+
+@pytest.mark.parametrize("counts,colorable", [((5,), False), ((4,), True)])
+def test_profile_phase1_agrees_with_class_iterator(counts, colorable):
+    graph, spec = _flag_host(P12, counts)
+    inst = WeightedInstance.uniform(graph, P12)
+    classes = colorable_all_covers(inst, signings=reduced_cover_iterator(graph, spec))
+    witness, _ = _FlagProfiles(inst, spec).uncolorable(None)
+    assert classes.colorable == (witness is None) == colorable
+    verdict = is_critical(inst, Reduced(spec))
+    assert (verdict.verdict == COLORABLE) == colorable
+    if not colorable:
+        assert find_coloring(inst, witness) is None
+        assert verdict.witness == witness
+
+
+@st.composite
+def small_flag_hosts(draw):
+    """1-2 bases, 1-2 flags per base and at most 13 edges in all (so that
+    Exhaustive stays fast); random base capacities, and random nonnegative
+    top and middle capacities shared by the flags on a base (a -1 there
+    makes the flag uncolorable by itself)."""
+    i = draw(st.integers(0, 1))
+    params = DefectParams(i, draw(st.integers(i, i + 2)))
+    m = draw(st.integers(1, 2))
+    counts = draw(
+        st.lists(st.integers(1, 2), min_size=m, max_size=m).filter(
+            lambda c: (2 * i + 3) * sum(c) + m - 1 <= 13
+        )
+    )
+    graph, spec = _flag_host(params, counts)
+    cap = st.tuples(st.integers(-1, params.i), st.integers(-1, params.j))
+    inner = st.tuples(st.integers(0, params.i), st.integers(0, params.j))
+    caps = [None] * graph.n
+    for b, flags in enumerate(spec.flags_by_base):
+        caps[b], top, middle = draw(cap), draw(inner), draw(inner)
+        for f in flags:
+            caps[f.top] = top
+            for u in f.middles:
+                caps[u] = middle
+    return WeightedInstance(graph, params, CapacityFunction(tuple(caps))), spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_flag_hosts())
+def test_reduced_matches_exhaustive_on_small_flag_hosts(host):
+    inst, spec = host
+    reduced = is_critical(inst, Reduced(spec))
+    exhaustive = is_critical(inst, Exhaustive())
+    assert reduced.verdict == exhaustive.verdict
+    assert reduced.certifying
+    assert reduced.potential_ok == exhaustive.potential_ok
+    if reduced.witness is not None:
+        assert find_coloring(inst, reduced.witness) is None
+    if reduced.failing_edge is not None:
+        sub = inst.without_edge(reduced.failing_edge)
+        assert find_coloring(sub, reduced.failing_witness) is None
+
+
+@pytest.mark.parametrize("i,j,m", [(1, 2, 1), (1, 3, 1), (1, 2, 2), (2, 4, 1)])
+def test_reduced_certifies_flag_path_hosts(i, j, m):
+    inst, spec = flag_path_instance(DefectParams(i, j), m)
+    verdict = is_critical(inst, Reduced(spec))
+    assert verdict.verdict == CRITICAL and verdict.certifying
+    assert verdict.potential_ok is True
+    assert verdict.edges_checked == len(verdict.edge_orbit_map)
+    assert verdict.solver_signings == 1  # the witness cross-check
+    assert find_coloring(inst, verdict.witness) is None
+
+
+def test_reduced_verdict_ignores_workers():
+    inst, spec = flag_path_instance(P12, 2)
+    assert is_critical(inst, Reduced(spec)) == is_critical(inst, Reduced(spec), workers=2)
+
+
+def test_reduced_rejects_a_colorable_witness(monkeypatch):
+    inst, spec = flag_path_instance(P12, 1)
+    monkeypatch.setattr(harness, "find_coloring", lambda inst, signing: (0,) * inst.n)
+    with pytest.raises(RuntimeError):
+        is_critical(inst, Reduced(spec))
+
+
+def test_reduced_rejects_flags_with_unequal_capacities():
+    inst, spec = flag_path_instance(P12, 1)
+    caps = list(inst.caps.pairs)
+    caps[spec.all_flags[0].top] = (0, 2)
+    with pytest.raises(ValueError, match="top or middle capacities"):
+        is_critical(inst.with_caps(caps), Reduced(spec))
+
+
+def test_reduced_rejects_a_spec_of_another_graph():
+    inst, spec = flag_path_instance(P12, 1)
+    _, other = flag_path_instance(P12, 2)
+    with pytest.raises(ValueError, match="not the instance's graph"):
+        is_critical(inst, Reduced(other))
+    with pytest.raises(ValueError, match="not the instance's graph"):
+        is_critical(inst.without_edge(spec.all_flags[0].base_top_edge), Reduced(spec))
+    graph, two = _flag_host(P12, (1, 1))
+    swapped = ConstructionSpec(P12, two.path, tuple(reversed(two.flags_by_base)))
+    with pytest.raises(ValueError, match="path vertex of its base"):
+        is_critical(WeightedInstance.uniform(graph, P12), Reduced(swapped))
+
+
+# ---------------------------------------------------------------------------
+# Phase 2 with workers
+# ---------------------------------------------------------------------------
+
+class _LazyPool:
+    """In-process stand-in for ProcessPoolExecutor: a task runs only when
+    its result is read, so a test sees which edges were ever checked."""
+
+    ran: list = []
+    futures: list = []
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, item):
+        ran = self.ran
+
+        class Lazy(Future):
+            def result(self, timeout=None):
+                if not self.done():
+                    ran.append(item[2])
+                    self.set_result(fn(item))
+                return super().result(timeout)
+
+        future = Lazy()
+        self.futures.append(future)
+        return future
+
+
+def test_phase2_with_workers_stops_at_the_first_failing_edge(monkeypatch):
+    # a triangle behind a pendant path: deleting (0, 1) leaves the triangle
+    graph = SimpleGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (2, 4), (3, 4)])
+    inst = WeightedInstance.uniform(graph, P00)
+    serial = is_critical(inst, Exhaustive())
+    assert serial.verdict == NOT_CRITICAL and serial.failing_edge == (0, 1)
+    assert is_critical(inst, Exhaustive(), workers=2) == serial
+
+    monkeypatch.setattr(_LazyPool, "ran", [])
+    monkeypatch.setattr(_LazyPool, "futures", [])
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _LazyPool)
+    assert is_critical(inst, Exhaustive(), workers=2) == serial
+    assert _LazyPool.ran == [(0, 1)]
+    assert [f.cancelled() for f in _LazyPool.futures] == [False] + [True] * 4

@@ -17,6 +17,7 @@ from dpdefect import (
     parse_instance,
     serialize_instance,
 )
+from dpdefect.model import MAX_VERTICES
 from conftest import cycle_graph, k2, random_graph, random_instance, random_signing
 
 
@@ -89,6 +90,41 @@ def test_parse_non_ascii_vertex_count():
         parse_instance("dpgraph 1\nparams i=1 j=2\nvertices \u00b2\n")
     assert exc.value.line == 3
     assert "malformed vertices" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "body,line,fragment",
+    [
+        ("params i=\u0661 j=2\nvertices 2\n", 2, "malformed params"),
+        ("params i=1 j=\uff12\nvertices 2\n", 2, "malformed params"),
+        ("params i=1 j=2\nvertices 2\ncap \u0661 0 0\n", 4, "malformed cap"),
+        ("params i=1 j=2\nvertices 2\ncap 1 0 -\u0661\n", 4, "malformed cap"),
+        ("params i=1 j=2\nvertices 2\ncap +1 0 0\n", 4, "malformed cap"),
+        ("params i=1 j=2\nvertices 2\nedge 0 \u0661 P\n", 4, "malformed edge"),
+        ("params i=1 j=2\nvertices 2\nedge 0 1_0 P\n", 4, "malformed edge"),
+    ],
+)
+def test_parse_rejects_non_ascii_integers(body, line, fragment):
+    with pytest.raises(InstanceFormatError) as exc:
+        parse_instance("dpgraph 1\n" + body)
+    assert exc.value.line == line
+    assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "count,fragment",
+    [
+        (str(MAX_VERTICES + 1), "exceeds the ceiling"),
+        ("1" + "0" * 12, "exceeds the ceiling"),
+        ("9" * 5000, "malformed vertices"),  # past int()'s digit limit
+        ("-1", "malformed vertices"),
+    ],
+)
+def test_parse_vertex_count_ceiling(count, fragment):
+    with pytest.raises(InstanceFormatError) as exc:
+        parse_instance(f"dpgraph 1\nparams i=1 j=2\nvertices {count}\n")
+    assert exc.value.line == 3
+    assert fragment in str(exc.value)
 
 
 def test_parse_repeated_params_key():
