@@ -13,13 +13,11 @@ from .model import (
     RICH,
     TWISTED,
     CapacityFunction,
-    CoverGraph,
     CoverSigning,
     DefectParams,
     InstanceFormatError,
     SimpleGraph,
     WeightedInstance,
-    build_cover_graph,
     instance_digest,
     map_from_str,
     map_to_str,
@@ -27,8 +25,7 @@ from .model import (
     serialize_instance,
 )
 from .solver import (
-    AllCoversResult,
-    SampleReport,
+    CoverScan,
     Violation,
     brute_force_oracle,
     check_coloring,

@@ -345,9 +345,7 @@ def _cmd_verify(args) -> tuple[int, dict, list[str]]:
             for chunk in args.criticality.split(";"):
                 i_str, j_str, m_str = chunk.split(",")
                 crits.append((int(i_str), int(j_str), int(m_str)))
-        report = harness.verify_sharpness_suite(
-            pairs, ms, criticality=crits, workers=args.workers
-        )
+        report = harness.verify_sharpness_suite(pairs, ms, criticality=crits)
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
     payload = {
@@ -380,22 +378,22 @@ def _cmd_verify(args) -> tuple[int, dict, list[str]]:
 def _cmd_sample(args) -> tuple[int, dict, list[str]]:
     instance, signing = _load_instance(args.file)
     try:
-        report = sample_covers(instance, args.count, args.seed)
+        scan = sample_covers(instance, args.count, args.seed)
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
     payload = {
         "command": "sample",
         "instance_digest": instance_digest(instance, signing),
         "params": _params_json(instance.params),
-        "count": report.count,
-        "seed": report.seed,
-        "examined": report.examined,
-        "verdict": "no-witness" if report.witness is None else "witness-found",
-        "witness": _signing_json(report.witness),
+        "count": args.count,
+        "seed": args.seed,
+        "examined": scan.signings_examined,
+        "verdict": "no-witness" if scan.colorable else "witness-found",
+        "witness": _signing_json(scan.witness),
     }
-    if report.witness is None:
-        return 0, payload, [f"no witness among {report.examined} sampled covers"]
-    return 1, payload, [f"witness found after {report.examined} samples"]
+    if scan.colorable:
+        return 0, payload, [f"no witness among {scan.signings_examined} sampled covers"]
+    return 1, payload, [f"witness found after {scan.signings_examined} samples"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -475,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ms", default="1", help="comma-separated m values")
     p.add_argument("--criticality", default="",
                    help="semicolon-separated i,j,m triples to certify")
-    p.add_argument("--workers", type=int, default=1)
     common(p)
     p.set_defaults(handler=_cmd_verify)
 

@@ -173,9 +173,6 @@ class FlagSigning:
     base_top: int
     middle_pairs: tuple[tuple[int, int], ...]
 
-    def canonical(self) -> "FlagSigning":
-        return FlagSigning(self.base_top, tuple(sorted(self.middle_pairs)))
-
     def edge_signs(self, flag: FlagSpec) -> dict[Edge, int]:
         if len(self.middle_pairs) != len(flag.middles):
             raise ValueError("middle count mismatch between signing and flag")

@@ -106,18 +106,19 @@ def _phase_covers(
     instance: WeightedInstance, strategy: Strategy, deleted: Edge | None
 ) -> tuple[CoverSigning | None, int, int, int]:
     """One colorability-for-all-covers phase: (witness, examined, signings
-    solved, nodes); every examined signing goes to the solver."""
+    solved, nodes); every examined signing goes to the solver.  A sampled
+    deletion of edge k draws its signings from the seed "{seed}:{k}"."""
     inst = instance.without_edge(deleted) if deleted else instance
     if isinstance(strategy, Exhaustive):
-        res = colorable_all_covers(inst, max_edges=strategy.max_edges)
-        return res.witness, res.signings_examined, res.signings_examined, res.nodes_expanded
-    if isinstance(strategy, Sampled):
+        scan = colorable_all_covers(inst, max_edges=strategy.max_edges)
+    elif isinstance(strategy, Sampled):
         seed = strategy.seed
         if deleted is not None:
-            seed += 1 + instance.graph.edge_index[deleted]
-        rep = sample_covers(inst, strategy.count, seed)
-        return rep.witness, rep.examined, rep.examined, rep.nodes_expanded
-    raise TypeError(f"unknown strategy {strategy!r}")
+            seed = f"{seed}:{instance.graph.edge_index[deleted]}"
+        scan = sample_covers(inst, strategy.count, seed)
+    else:
+        raise TypeError(f"unknown strategy {strategy!r}")
+    return scan.witness, scan.signings_examined, scan.signings_examined, scan.nodes_expanded
 
 
 def _check_deleted_edge(args) -> tuple[Edge, CoverSigning | None, int, int, int]:
@@ -260,9 +261,10 @@ class _FlagProfiles:
         if witness is None:
             return None, decided, 0, 0
         inst = self.instance if deleted is None else self.instance.without_edge(deleted)
-        if find_coloring(inst, witness) is not None:
+        scan = colorable_all_covers(inst, signings=(witness,))
+        if scan.colorable:
             raise RuntimeError("flag profiles and solver disagree on colorability")
-        return witness, decided, 1, 0
+        return witness, decided, scan.signings_examined, scan.nodes_expanded
 
 
 def is_critical(
@@ -663,7 +665,6 @@ def verify_sharpness_suite(
     pairs: Iterable[tuple[int, int]],
     ms: Iterable[int],
     criticality: Iterable[tuple[int, int, int]] = (),
-    workers: int = 1,
 ) -> SharpnessReport:
     """For each (i, j) x m: check size identities and that the hard cover
     defeats the solver; optionally certify criticality (reduced strategy)
@@ -681,7 +682,7 @@ def verify_sharpness_suite(
             crit: str | None = None
             potential_ok: bool | None = None
             if (i, j, m) in want_critical:
-                verdict = is_critical(instance, Reduced(spec), workers=workers)
+                verdict = is_critical(instance, Reduced(spec))
                 crit = verdict.verdict
                 potential_ok = verdict.potential_ok
             entries.append(
@@ -698,8 +699,9 @@ def sampled_edge_deletion_sweep(
 ) -> tuple[tuple[Edge, CoverSigning | None], ...]:
     """Run sample_covers on every single-edge deletion of the instance.
 
-    Edge k uses seed + 1 + k, so the sweep is reproducible edge by edge and
-    independent of worker count.
+    Edge k draws from the seed "{seed}:{k}", so the sweep is reproducible
+    edge by edge, independent of worker count, and no edge shares its
+    stream with another edge under a neighbouring seed.
     """
     strategy = Sampled(count, seed)
     work = [(instance, strategy, e) for e in instance.graph.sorted_edges]

@@ -115,9 +115,6 @@ class SimpleGraph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return _normalize_edge(u, v) in self.edges
-
     def without_edge(self, edge: tuple[int, int]) -> "SimpleGraph":
         e = _normalize_edge(*edge)
         if e not in self.edges:
@@ -241,23 +238,11 @@ class CoverSigning:
     def as_dict(self) -> dict[Edge, int]:
         return dict(zip(self.edges, self.signs))
 
-    def sign_of(self, u: int, v: int) -> int:
-        e = _normalize_edge(u, v)
-        try:
-            return self.signs[self.edges.index(e)]
-        except ValueError:
-            raise ValueError(f"missing sign for edge {e}") from None
-
     def signs_for(self, graph: SimpleGraph) -> tuple[int, ...]:
         """Signs aligned with `graph.sorted_edges`; the edge sets must match."""
         if self.edges != graph.sorted_edges:
             raise ValueError("signing does not cover exactly the graph's edges")
         return self.signs
-
-    def restricted_to(self, graph: SimpleGraph) -> "CoverSigning":
-        """Restriction to a subgraph's edge set (used after edge deletions)."""
-        table = self.as_dict()
-        return CoverSigning.from_dict(graph, {e: table[e] for e in graph.sorted_edges})
 
 
 ColoringMap = tuple[int, ...]
@@ -272,58 +257,6 @@ def map_from_str(text: str) -> ColoringMap:
         return tuple(CHOICE_CHARS.index(ch) for ch in text.strip().upper())
     except ValueError:
         raise ValueError(f"coloring map must use only characters P/R: {text!r}") from None
-
-
-@dataclass(frozen=True)
-class CoverGraph:
-    """The explicit 2n-node cover graph: nodes 2v (poor) and 2v+1 (rich)."""
-
-    n_vertices: int
-    edges: frozenset[Edge]
-
-    @staticmethod
-    def poor_node(v: int) -> int:
-        return 2 * v
-
-    @staticmethod
-    def rich_node(v: int) -> int:
-        return 2 * v + 1
-
-    @property
-    def n_nodes(self) -> int:
-        return 2 * self.n_vertices
-
-    def node_degree(self, node: int) -> int:
-        return sum(1 for a, b in self.edges if a == node or b == node)
-
-    def cross_edges(self, u: int, v: int) -> tuple[Edge, ...]:
-        """Cover edges between the lists of vertices u and v."""
-        us = {2 * u, 2 * u + 1}
-        vs = {2 * v, 2 * v + 1}
-        return tuple(
-            e for e in sorted(self.edges) if (e[0] in us and e[1] in vs) or (e[0] in vs and e[1] in us)
-        )
-
-
-def build_cover_graph(graph: SimpleGraph, signing: CoverSigning) -> CoverGraph:
-    """Expand a signed graph into its explicit cover graph.
-
-    Each list contributes its internal poor-rich edge; each graph edge
-    contributes the two matching edges dictated by its sign.  Both nodes of
-    every vertex v end up with degree 1 + deg(v).
-    """
-    signs = signing.signs_for(graph)
-    edges: set[Edge] = set()
-    for v in range(graph.n):
-        edges.add((2 * v, 2 * v + 1))
-    for k, (u, v) in enumerate(graph.sorted_edges):
-        if signs[k] == PARALLEL:
-            edges.add(_normalize_edge(2 * u, 2 * v))
-            edges.add(_normalize_edge(2 * u + 1, 2 * v + 1))
-        else:
-            edges.add(_normalize_edge(2 * u, 2 * v + 1))
-            edges.add(_normalize_edge(2 * u + 1, 2 * v))
-    return CoverGraph(graph.n, frozenset(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@
 incremental defect counters, capacity pruning).  `brute_force_oracle`
 re-decides the same question by exhausting all 2^n maps through
 `check_coloring` and deliberately shares no search code with it.
+`colorable_all_covers` and `sample_covers` feed a stream of signings to
+one loop over the search and report a `CoverScan`.
 """
 
 from __future__ import annotations
@@ -20,9 +22,6 @@ from .model import (
     WeightedInstance,
 )
 
-COLORABLE_FOR_ALL = "colorable-for-all"
-WITNESS_FOUND = "witness-found"
-
 DEFAULT_ORACLE_CEILING = 20
 DEFAULT_ENUMERATION_CEILING = 16
 
@@ -38,31 +37,23 @@ class Violation:
 
 
 @dataclass(frozen=True)
-class AllCoversResult:
-    verdict: str  # COLORABLE_FOR_ALL or WITNESS_FOUND
+class CoverScan:
+    """Outcome of quantifying over a stream of signings: the first one
+    with no valid coloring (None if every one is colorable), and the work
+    spent reaching it."""
+
     witness: CoverSigning | None
     signings_examined: int
-    classes_examined: int
-    nodes_expanded: int = 0
-
-    @property
-    def colorable(self) -> bool:
-        return self.verdict == COLORABLE_FOR_ALL
-
-
-@dataclass(frozen=True)
-class SampleReport:
-    """Outcome of a seeded random walk over the cover space."""
-
-    witness: CoverSigning | None
-    examined: int
-    count: int
-    seed: int
-    nodes_expanded: int = 0
+    nodes_expanded: int
 
     @property
     def colorable(self) -> bool:
         return self.witness is None
+
+    @property
+    def examined(self) -> int:
+        # read only by bench/spans.py; goes away with the next benchmark change
+        return self.signings_examined
 
 
 def check_coloring(
@@ -228,30 +219,12 @@ def _as_sign_tuple(
     return signing
 
 
-def colorable_all_covers(
-    instance: WeightedInstance,
-    signings: Iterable[CoverSigning | tuple[int, ...]] | None = None,
-    max_edges: int = DEFAULT_ENUMERATION_CEILING,
-) -> AllCoversResult:
-    """Quantify colorability over the whole cover space.
-
-    With `signings` omitted, all 2^|E| signings are enumerated in
-    binary-counter order (Parallel=0), so the reported witness is the
-    lexicographically smallest one.  A caller may instead supply one
-    representative signing per symmetry class; soundness is then the
-    caller's contract.
-    """
+def _scan(
+    instance: WeightedInstance, signings: Iterable[CoverSigning | tuple[int, ...]]
+) -> CoverScan:
+    """Solve each signing in turn and stop at the first uncolorable one."""
     graph = instance.graph
     ctx = _context(instance)
-    m = len(graph.sorted_edges)
-    if signings is None:
-        if m > max_edges:
-            raise ValueError(
-                f"enumeration ceiling exceeded: |E|={m} > {max_edges}; "
-                "supply a symmetry-class iterator"
-            )
-        signings = (tuple((bits >> k) & 1 for k in range(m)) for bits in range(1 << m))
-
     examined = 0
     nodes_total = 0
     for signing in signings:
@@ -265,11 +238,38 @@ def colorable_all_covers(
                 if isinstance(signing, CoverSigning)
                 else CoverSigning(graph.sorted_edges, signs)
             )
-            return AllCoversResult(WITNESS_FOUND, witness, examined, examined, nodes_total)
-    return AllCoversResult(COLORABLE_FOR_ALL, None, examined, examined, nodes_total)
+            return CoverScan(witness, examined, nodes_total)
+    return CoverScan(None, examined, nodes_total)
 
 
-def sample_signings(graph: SimpleGraph, count: int, seed: int) -> Iterator[tuple[int, ...]]:
+def colorable_all_covers(
+    instance: WeightedInstance,
+    signings: Iterable[CoverSigning | tuple[int, ...]] | None = None,
+    max_edges: int = DEFAULT_ENUMERATION_CEILING,
+) -> CoverScan:
+    """Quantify colorability over the whole cover space.
+
+    With `signings` omitted, all 2^|E| signings are enumerated in
+    binary-counter order (Parallel=0), so the reported witness is the
+    lexicographically smallest one; more than `max_edges` edges raise
+    ValueError.  A caller may instead supply its own stream, such as one
+    representative signing per symmetry class or a single signing to
+    cross-check; soundness is then the caller's contract.
+    """
+    if signings is None:
+        m = len(instance.graph.sorted_edges)
+        if m > max_edges:
+            raise ValueError(
+                f"enumeration ceiling exceeded: |E|={m} > {max_edges}; "
+                "supply a symmetry-class iterator"
+            )
+        signings = (tuple((bits >> k) & 1 for k in range(m)) for bits in range(1 << m))
+    return _scan(instance, signings)
+
+
+def sample_signings(
+    graph: SimpleGraph, count: int, seed: int | str
+) -> Iterator[tuple[int, ...]]:
     """Deterministic uniform sample of sign tuples (with replacement)."""
     m = len(graph.sorted_edges)
     rng = random.Random(seed)
@@ -278,22 +278,12 @@ def sample_signings(graph: SimpleGraph, count: int, seed: int) -> Iterator[tuple
         yield tuple((bits >> k) & 1 for k in range(m))
 
 
-def sample_covers(instance: WeightedInstance, count: int, seed: int) -> SampleReport:
-    """Seeded random smoke test over the cover space.
+def sample_covers(instance: WeightedInstance, count: int, seed: int | str) -> CoverScan:
+    """Seeded random smoke test over the cover space: the loop of
+    `colorable_all_covers` over `count` signings from `sample_signings`.
 
-    Identical (instance, count, seed) always produces the identical report.
+    Identical (instance, count, seed) always produces the identical result.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    graph = instance.graph
-    ctx = _context(instance)
-    examined = 0
-    nodes_total = 0
-    for signs in sample_signings(graph, count, seed):
-        examined += 1
-        cmap, nodes = _solve(ctx, signs)
-        nodes_total += nodes
-        if cmap is None:
-            witness = CoverSigning(graph.sorted_edges, signs)
-            return SampleReport(witness, examined, count, seed, nodes_total)
-    return SampleReport(None, examined, count, seed, nodes_total)
+    return _scan(instance, sample_signings(instance.graph, count, seed))

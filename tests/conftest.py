@@ -1,16 +1,21 @@
-"""Shared graph builders and seeded instance generators."""
+"""Shared graph builders, seeded instance generators, and the explicit
+cover graph used as an independent reference for the sign XOR rule."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 
 from dpdefect import (
+    PARALLEL,
     CapacityFunction,
     CoverSigning,
     DefectParams,
     SimpleGraph,
     WeightedInstance,
 )
+
+Edge = tuple[int, int]
 
 
 def path_graph(n: int) -> SimpleGraph:
@@ -69,3 +74,46 @@ def random_signing(rng: random.Random, graph: SimpleGraph) -> CoverSigning:
     m = len(graph.sorted_edges)
     bits = rng.getrandbits(m) if m else 0
     return CoverSigning.from_bits(graph, bits)
+
+
+@dataclass(frozen=True)
+class CoverGraph:
+    """The explicit 2n-node cover graph: nodes 2v (poor) and 2v+1 (rich)."""
+
+    n_vertices: int
+    edges: frozenset[Edge]
+
+    @property
+    def n_nodes(self) -> int:
+        return 2 * self.n_vertices
+
+    def node_degree(self, node: int) -> int:
+        return sum(1 for a, b in self.edges if a == node or b == node)
+
+    def cross_edges(self, u: int, v: int) -> tuple[Edge, ...]:
+        """Cover edges between the lists of vertices u and v."""
+        us = {2 * u, 2 * u + 1}
+        vs = {2 * v, 2 * v + 1}
+        return tuple(
+            e for e in sorted(self.edges) if (e[0] in us and e[1] in vs) or (e[0] in vs and e[1] in us)
+        )
+
+
+def build_cover_graph(graph: SimpleGraph, signing: CoverSigning) -> CoverGraph:
+    """Expand a signed graph into its explicit cover graph.
+
+    Each list contributes its internal poor-rich edge; each graph edge
+    contributes the two matching edges dictated by its sign.  Both nodes of
+    every vertex v end up with degree 1 + deg(v).
+    """
+    signs = signing.signs_for(graph)
+    edges: set[Edge] = set()
+    for v in range(graph.n):
+        edges.add((2 * v, 2 * v + 1))
+    for k, (u, v) in enumerate(graph.sorted_edges):
+        if signs[k] == PARALLEL:
+            pairs = ((2 * u, 2 * v), (2 * u + 1, 2 * v + 1))
+        else:
+            pairs = ((2 * u, 2 * v + 1), (2 * u + 1, 2 * v))
+        edges.update(tuple(sorted(pair)) for pair in pairs)
+    return CoverGraph(graph.n, frozenset(edges))

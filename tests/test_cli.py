@@ -7,9 +7,11 @@ from dpdefect import (
     DefectParams,
     SimpleGraph,
     WeightedInstance,
+    flag_path_instance,
     serialize_instance,
 )
 from dpdefect.cli import main
+from conftest import cycle_graph
 
 
 def run(capsys, argv):
@@ -196,3 +198,95 @@ def test_bad_integer_fields_are_input_errors(tmp_path, capsys, body):
     path.write_text("dpgraph 1\n" + body, encoding="utf-8")
     code, stdout, err = run(capsys, ["solve", str(path)])
     assert code == 2 and stdout == "" and "line" in err
+
+
+# Exact --json stdout of fixed commands.  C3 is the triangle at (0, 0) and
+# G121 the (1,2,1) flag-path host, both unsigned.  Under `reduced`,
+# nodes_expanded counts the search nodes of the witness cross-check.
+GOLDEN_JSON = [
+    (
+        ["verify", "--pairs", "1,2;1,3", "--ms", "1,2"],
+        '{"command":"verify","entries":[{"counts_ok":true,"criticality":null,'
+        '"i":1,"j":2,"m":1,"ok":true,"potential_ok":null,"uncolorable":true},'
+        '{"counts_ok":true,"criticality":null,"i":1,"j":2,"m":2,"ok":true,'
+        '"potential_ok":null,"uncolorable":true},{"counts_ok":true,'
+        '"criticality":null,"i":1,"j":3,"m":1,"ok":true,"potential_ok":null,'
+        '"uncolorable":true},{"counts_ok":true,"criticality":null,"i":1,"j":3,'
+        '"m":2,"ok":true,"potential_ok":null,"uncolorable":true}],'
+        '"verdict":"pass"}',
+    ),
+    (
+        ["critical", "--construct", "1,2,1", "--strategy", "reduced"],
+        '{"certifying":true,"command":"critical","counters":{"classes":7,'
+        '"edges_checked":3,"nodes_expanded":436,"signings":1},'
+        '"failing_edge":null,'
+        '"instance_digest":"c30256ae233fccf5d266a81f4143d88358bfaa4c4ee87001c2a594fb68e9f3c8",'
+        '"params":{"i":1,"j":2},"strategy":"reduced","verdict":"critical",'
+        '"witness":{"edges":[[0,1],[0,2],[0,3],[0,4],[0,5],[0,6],[0,7],[0,8],[0,'
+        '9],[0,10],[0,11],[0,12],[0,13],[0,14],[0,15],[1,2],[1,3],[4,5],[4,6],[7,'
+        '8],[7,9],[10,11],[10,12],[13,14],[13,15]],'
+        '"signs":"PPPPPPPPPTTTTTTPPPPPPPPPP"}}',
+    ),
+    (
+        ["critical", "--construct", "1,2,1", "--strategy", "sampled",
+         "--count", "300", "--seed", "17"],
+        '{"certifying":false,"command":"critical","counters":{"classes":300,'
+        '"edges_checked":0,"nodes_expanded":20507,"signings":300},'
+        '"failing_edge":null,'
+        '"instance_digest":"c30256ae233fccf5d266a81f4143d88358bfaa4c4ee87001c2a594fb68e9f3c8",'
+        '"params":{"i":1,"j":2},"strategy":"sampled","verdict":"colorable",'
+        '"witness":null}',
+    ),
+    (
+        ["critical", "C3", "--strategy", "exhaustive"],
+        '{"certifying":true,"command":"critical","counters":{"classes":13,'
+        '"edges_checked":3,"nodes_expanded":58,"signings":13},'
+        '"failing_edge":null,'
+        '"instance_digest":"eebff25d62b24baa6ba5600f7b70a236c7a6d8bd81a4af982ce2613d236729f9",'
+        '"params":{"i":0,"j":0},"strategy":"exhaustive","verdict":"critical",'
+        '"witness":{"edges":[[0,1],[0,2],[1,2]],"signs":"PPP"}}',
+    ),
+    (
+        ["enumerate", "--i", "1", "--j", "2", "--n", "3"],
+        '{"bound_min_edges":6,"command":"enumerate","critical_found":0,'
+        '"graphs_examined":4,"min_edges":null,"mode":"uniform","n":3,'
+        '"pairs_examined":4,"params":{"i":1,"j":2},"potential_violations":0,'
+        '"sparsity_violations":0,"verdict":"consistent"}',
+    ),
+    (
+        ["enumerate", "--i", "1", "--j", "2", "--n", "3", "--mode", "weighted"],
+        '{"bound_min_edges":6,"command":"enumerate","critical_found":493,'
+        '"graphs_examined":4,"min_edges":2,"mode":"weighted","n":3,'
+        '"pairs_examined":6912,"params":{"i":1,"j":2},"potential_violations":0,'
+        '"sparsity_violations":0,"verdict":"violations"}',
+    ),
+    (
+        ["sample", "G121", "--count", "500", "--seed", "7"],
+        '{"command":"sample","count":500,"examined":500,'
+        '"instance_digest":"c30256ae233fccf5d266a81f4143d88358bfaa4c4ee87001c2a594fb68e9f3c8",'
+        '"params":{"i":1,"j":2},"seed":7,"verdict":"no-witness","witness":null}',
+    ),
+    (
+        ["sample", "C3", "--count", "500", "--seed", "7"],
+        '{"command":"sample","count":500,"examined":4,'
+        '"instance_digest":"eebff25d62b24baa6ba5600f7b70a236c7a6d8bd81a4af982ce2613d236729f9",'
+        '"params":{"i":0,"j":0},"seed":7,"verdict":"witness-found",'
+        '"witness":{"edges":[[0,1],[0,2],[1,2]],"signs":"TTP"}}',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,stdout", GOLDEN_JSON, ids=[" ".join(argv) for argv, _ in GOLDEN_JSON]
+)
+def test_json_stdout_is_pinned(tmp_path, capsys, argv, stdout):
+    files = {
+        "C3": write_instance(
+            tmp_path, "c3.dpg", WeightedInstance.uniform(cycle_graph(3), DefectParams(0, 0))
+        ),
+        "G121": write_instance(
+            tmp_path, "g121.dpg", flag_path_instance(DefectParams(1, 2), 1)[0]
+        ),
+    }
+    _, out, _ = run(capsys, [files.get(a, a) for a in argv] + ["--json"])
+    assert out == stdout + "\n"

@@ -20,6 +20,7 @@ from dpdefect import (
     Reduced,
     Sampled,
     ConstructionSpec,
+    CoverScan,
     GraphBuilder,
     SimpleGraph,
     WeightedInstance,
@@ -31,10 +32,12 @@ from dpdefect import (
     is_critical,
     make_flag,
     reduced_cover_iterator,
+    sample_covers,
     sampled_edge_deletion_sweep,
     verify_sharpness_suite,
 )
 from dpdefect.harness import _FlagProfiles, _WeightedTables
+from dpdefect.solver import sample_signings
 from conftest import cycle_graph, k2, random_caps, random_graph
 
 P12 = DefectParams(1, 2)
@@ -333,13 +336,38 @@ def test_reduced_deletion_phase_with_path_edge():
 
 
 def test_two_base_host_minus_edge_survives_sampling():
-    from dpdefect import sample_covers
-
     inst, _ = flag_path_instance(P12, 2)
     inst_e = inst.without_edge(inst.graph.sorted_edges[0])
     rep = sample_covers(inst_e, 1000, seed=42)
     assert rep.witness is None
-    assert rep.examined == 1000
+    assert rep.signings_examined == 1000
+
+
+def test_sampled_edge_streams_differ_across_neighbouring_seeds(monkeypatch):
+    inst, _ = flag_path_instance(P12, 1)
+    streams = []
+
+    def recording(sub, count, seed):
+        streams.append(list(sample_signings(sub.graph, count, seed)))
+        return sample_covers(sub, count, seed)
+
+    monkeypatch.setattr(harness, "sample_covers", recording)
+    sampled_edge_deletion_sweep(inst, count=5, seed=3)
+    under_3 = streams[:]
+    streams.clear()
+    sampled_edge_deletion_sweep(inst, count=5, seed=4)
+    assert len(under_3) == len(streams) == 25
+    # edge k + 1 under seed 3 and edge k under seed 4 draw different streams
+    assert all(under_3[k + 1] != streams[k] for k in range(24))
+
+
+def test_sampled_phase_one_uses_the_seed_itself():
+    inst, _ = flag_path_instance(P12, 1)
+    verdict = is_critical(inst, Sampled(300, 17))
+    scan = sample_covers(inst, 300, 17)
+    assert (verdict.witness, verdict.covers_checked, verdict.nodes_expanded) == (
+        scan.witness, scan.signings_examined, scan.nodes_expanded
+    )
 
 
 def test_sampled_edge_deletion_sweep_deterministic():
@@ -431,6 +459,7 @@ def test_reduced_certifies_flag_path_hosts(i, j, m):
     assert verdict.potential_ok is True
     assert verdict.edges_checked == len(verdict.edge_orbit_map)
     assert verdict.solver_signings == 1  # the witness cross-check
+    assert verdict.nodes_expanded > 0  # the cross-check's search nodes
     assert find_coloring(inst, verdict.witness) is None
 
 
@@ -441,7 +470,9 @@ def test_reduced_verdict_ignores_workers():
 
 def test_reduced_rejects_a_colorable_witness(monkeypatch):
     inst, spec = flag_path_instance(P12, 1)
-    monkeypatch.setattr(harness, "find_coloring", lambda inst, signing: (0,) * inst.n)
+    monkeypatch.setattr(
+        harness, "colorable_all_covers", lambda inst, signings: CoverScan(None, 1, 0)
+    )
     with pytest.raises(RuntimeError):
         is_critical(inst, Reduced(spec))
 

@@ -11,14 +11,20 @@ from dpdefect import (
     InstanceFormatError,
     SimpleGraph,
     WeightedInstance,
-    build_cover_graph,
     flag_path_instance,
     hard_cover_signing,
     parse_instance,
     serialize_instance,
 )
 from dpdefect.model import MAX_VERTICES
-from conftest import cycle_graph, k2, random_graph, random_instance, random_signing
+from conftest import (
+    build_cover_graph,
+    cycle_graph,
+    k2,
+    random_graph,
+    random_instance,
+    random_signing,
+)
 
 
 def test_parse_k2_signed():

@@ -21,7 +21,9 @@ from dpdefect import (
     hard_cover_signing,
     sample_covers,
 )
+from dpdefect.solver import sample_signings
 from conftest import (
+    build_cover_graph,
     cycle_graph,
     k2,
     random_graph,
@@ -119,8 +121,6 @@ def test_single_vertex_trivially_colorable():
 def test_check_matches_explicit_cover_graph():
     # independent route: materialize the cover graph and count adjacencies
     # of the chosen nodes directly, instead of the sign XOR rule
-    from dpdefect import build_cover_graph
-
     rng = random.Random(606)
     for _ in range(60):
         inst = random_instance(rng, max_n=6)
@@ -166,9 +166,13 @@ def test_edge_deletion_monotonicity():
         if find_coloring(inst, signing) is None:
             continue
         found += 1
+        table = signing.as_dict()
         for e in inst.graph.sorted_edges:
             sub = inst.without_edge(e)
-            assert find_coloring(sub, signing.restricted_to(sub.graph)) is not None
+            restricted = CoverSigning.from_dict(
+                sub.graph, {f: table[f] for f in sub.graph.sorted_edges}
+            )
+            assert find_coloring(sub, restricted) is not None
 
 
 def test_capacity_monotonicity():
@@ -233,8 +237,9 @@ def test_sample_covers_deterministic():
     a = sample_covers(inst, 500, seed=9)
     b = sample_covers(inst, 500, seed=9)
     assert a == b
-    c = sample_covers(inst, 500, seed=10)
-    assert (a.witness, a.examined) != (c.witness, c.examined) or a.seed != c.seed
+    assert list(sample_signings(inst.graph, 500, 9)) != list(
+        sample_signings(inst.graph, 500, 10)
+    )
 
 
 def test_sample_covers_rejects_zero_count():
@@ -246,4 +251,4 @@ def test_sample_covers_rejects_zero_count():
 def test_sample_covers_finds_trivial_witness():
     rep = sample_covers(single_vertex(-1, -1), 1, seed=0)
     assert rep.witness == empty_signing()
-    assert rep.examined == 1
+    assert rep.signings_examined == 1
