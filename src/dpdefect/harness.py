@@ -400,26 +400,36 @@ def _canonical_mask(n: int, mask: int, pairs: list[Edge], pair_idx: dict[Edge, i
 
 
 def graphs_up_to_iso(n: int, max_n: int = 6) -> list[SimpleGraph]:
-    """All graphs on n vertices up to isomorphism, by canonical
-    adjacency-mask minimization with degree pre-partitioning."""
+    """All graphs on n vertices up to isomorphism, in ascending order of
+    their canonical adjacency masks.
+
+    A graph's canonical mask is the smallest mask over the relabellings
+    that sort its vertices by non-increasing degree, and its representative
+    has exactly those edges.  No scan over all 2^C(n,2) masks: the classes
+    are grown one edge at a time by augmentation (McKay, "Isomorph-free
+    exhaustive generation", 1998).  Every graph with k + 1 edges is a graph
+    with k edges plus one non-edge, so the canonical masks of each
+    k-edge representative plus each of its non-edges are every class with
+    k + 1 edges.
+    """
     if n > max_n:
         raise ValueError(f"isomorphism enumeration ceiling exceeded: n={n} > {max_n}")
-    if n == 0:
-        return [SimpleGraph(0, frozenset())]
     pairs = _vertex_pairs(n)
     pair_idx = {e: k for k, e in enumerate(pairs)}
-    reps = []
-    seen: set[int] = set()
-    for mask in range(1 << len(pairs)):
-        c = _canonical_mask(n, mask, pairs, pair_idx)
-        if c not in seen:
-            seen.add(c)
-            reps.append(
-                SimpleGraph.from_edges(
-                    n, [pairs[k] for k in range(len(pairs)) if (c >> k) & 1]
-                )
-            )
-    return reps
+    level = {0}
+    found = {0}
+    for _ in pairs:
+        level = {
+            _canonical_mask(n, mask | (1 << k), pairs, pair_idx)
+            for mask in level
+            for k in range(len(pairs))
+            if not (mask >> k) & 1
+        }
+        found |= level
+    return [
+        SimpleGraph.from_edges(n, [pairs[k] for k in range(len(pairs)) if (c >> k) & 1])
+        for c in sorted(found)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +568,17 @@ def enumerate_critical(
 ) -> EnumerationReport:
     """Survey all n-vertex graphs up to isomorphism for critical instances.
 
-    Uniform mode fixes capacities at (i, j) everywhere, decides each graph
-    with is_critical, and checks, inside the claimed parameter range, the
-    minimum-edge bound and that no sparse graph turns out non-colorable.
+    Uniform mode fixes capacities at (i, j) everywhere and checks, inside
+    the claimed parameter range, the minimum-edge bound and that no sparse
+    graph turns out non-colorable.  It decides the graphs in increasing
+    edge count, so each G - e is, up to isomorphism, a graph already
+    decided, found by its canonical mask.  If some G - e is uncolorable, so
+    is G: an uncolorable signing of G - e stays uncolorable with either
+    sign on e, since a valid map for G is valid for G - e.  G is then not
+    critical, and needs no search.  Otherwise one exhaustive signing scan
+    decides G, which is critical iff it is uncolorable and (with n >= 2)
+    has no isolated vertex, as is_critical(..., Exhaustive(15)) decides.
+    Criticals and sparsity violations are listed in graphs_up_to_iso order.
     Weighted mode sweeps every capacity function (n <= 4) and records any
     critical pair whose potential exceeds the i - j - 1 ceiling.  Its
     verdicts come from per-graph defect bitsets (numpy builds them once per
@@ -581,8 +599,43 @@ def enumerate_critical(
     sparsity_violations: list[CriticalEntry] = []
     pairs_examined = 0
 
-    for graph in graphs:
-        if mode == MODE_WEIGHTED:
+    if mode == MODE_UNIFORM:
+        pairs_examined = len(graphs)
+        pairs = _vertex_pairs(n)
+        pair_idx = {e: k for k, e in enumerate(pairs)}
+        masks = [sum(1 << pair_idx[e] for e in graph.edges) for graph in graphs]
+        uncolorable: set[int] = set()
+        critical: set[int] = set()
+        # In increasing edge count, so the canonical mask of every G - e is
+        # already decided (and no lookup can hit before the first uncolorable).
+        for graph, mask in sorted(zip(graphs, masks), key=lambda gm: gm[0].edge_count()):
+            sub = bool(uncolorable) and any(
+                _canonical_mask(n, mask ^ (1 << b), pairs, pair_idx) in uncolorable
+                for b in range(len(pairs))
+                if (mask >> b) & 1
+            )
+            instance = WeightedInstance.uniform(graph, params)
+            if sub or not colorable_all_covers(instance, max_edges=15).colorable:
+                uncolorable.add(mask)
+                if not sub and not (n >= 2 and any(graph.degree(v) == 0 for v in range(n))):
+                    critical.add(mask)
+        for graph, mask in zip(graphs, masks):
+            sparse_bad = (
+                in_guaranteed_range(params)
+                and mask in uncolorable
+                and sparsity_test(graph, params).sparse
+            )
+            if not (mask in critical or sparse_bad):
+                continue
+            instance = WeightedInstance.uniform(graph, params)
+            rho = subset_potential(instance, range(n))
+            entry = CriticalEntry(graph.sorted_edges, instance.caps.pairs, rho)
+            if sparse_bad:
+                sparsity_violations.append(entry)
+            if mask in critical:
+                criticals.append(entry)
+    else:
+        for graph in graphs:
             tables = _WeightedTables(graph, params)
             for caps in itertools.product(tables.caps, repeat=n):
                 pairs_examined += 1
@@ -594,21 +647,6 @@ def enumerate_critical(
                     raise RuntimeError("defect bitsets and solver disagree on colorability")
                 rho = subset_potential(instance, range(n))
                 criticals.append(CriticalEntry(graph.sorted_edges, caps, rho))
-            continue
-
-        pairs_examined += 1
-        instance = WeightedInstance.uniform(graph, params)
-        verdict = is_critical(instance, Exhaustive(max_edges=15))
-        rho = subset_potential(instance, range(n))
-        entry = CriticalEntry(graph.sorted_edges, instance.caps.pairs, rho)
-        if (
-            in_guaranteed_range(params)
-            and verdict.witness is not None
-            and sparsity_test(graph, params).sparse
-        ):
-            sparsity_violations.append(entry)
-        if verdict.verdict == CRITICAL:
-            criticals.append(entry)
 
     potential_violations = [
         e for e in criticals if in_guaranteed_range(params) and e.rho > ceiling

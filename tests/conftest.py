@@ -1,5 +1,6 @@
-"""Shared graph builders, seeded instance generators, and the explicit
-cover graph used as an independent reference for the sign XOR rule."""
+"""Shared graph builders, seeded instance generators, the explicit cover
+graph used as an independent reference for the sign XOR rule, and the
+full mask scan used as the reference for isomorphism-class generation."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from dpdefect import (
     SimpleGraph,
     WeightedInstance,
 )
+from dpdefect.harness import _canonical_mask, _vertex_pairs
 
 Edge = tuple[int, int]
 
@@ -117,3 +119,23 @@ def build_cover_graph(graph: SimpleGraph, signing: CoverSigning) -> CoverGraph:
             pairs = ((2 * u, 2 * v + 1), (2 * u + 1, 2 * v))
         edges.update(tuple(sorted(pair)) for pair in pairs)
     return CoverGraph(graph.n, frozenset(edges))
+
+
+def graphs_by_mask_scan(n: int) -> list[SimpleGraph]:
+    """All graphs on n vertices up to isomorphism, by canonicalising every
+    one of the 2^C(n,2) adjacency masks; each class appears where its first
+    mask does, as the graph of its canonical mask."""
+    pairs = _vertex_pairs(n)
+    pair_idx = {e: k for k, e in enumerate(pairs)}
+    reps = []
+    seen: set[int] = set()
+    for mask in range(1 << len(pairs)):
+        c = _canonical_mask(n, mask, pairs, pair_idx)
+        if c not in seen:
+            seen.add(c)
+            reps.append(
+                SimpleGraph.from_edges(
+                    n, [pairs[k] for k in range(len(pairs)) if (c >> k) & 1]
+                )
+            )
+    return reps

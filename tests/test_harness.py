@@ -12,6 +12,8 @@ from dpdefect import (
     COLORABLE,
     CRITICAL,
     NOT_CRITICAL,
+    PARALLEL,
+    TWISTED,
     UNREFUTED,
     CapacityFunction,
     CoverSigning,
@@ -24,6 +26,7 @@ from dpdefect import (
     GraphBuilder,
     SimpleGraph,
     WeightedInstance,
+    brute_force_oracle,
     colorable_all_covers,
     enumerate_critical,
     find_coloring,
@@ -34,11 +37,18 @@ from dpdefect import (
     reduced_cover_iterator,
     sample_covers,
     sampled_edge_deletion_sweep,
+    sparsity_test,
+    subset_potential,
     verify_sharpness_suite,
 )
-from dpdefect.harness import _FlagProfiles, _WeightedTables
+from dpdefect.harness import (
+    CriticalEntry,
+    _FlagProfiles,
+    _WeightedTables,
+    in_guaranteed_range,
+)
 from dpdefect.solver import sample_signings
-from conftest import cycle_graph, k2, random_caps, random_graph
+from conftest import cycle_graph, graphs_by_mask_scan, k2, random_caps, random_graph
 
 P12 = DefectParams(1, 2)
 P00 = DefectParams(0, 0)
@@ -138,7 +148,16 @@ def test_reduced_strategy_matches_exhaustive_on_small_host():
 
 
 def test_graphs_up_to_iso_counts():
-    assert [len(graphs_up_to_iso(n)) for n in range(1, 6)] == [1, 2, 4, 11, 34]
+    # OEIS A000088
+    assert [len(graphs_up_to_iso(n)) for n in range(7)] == [1, 1, 2, 4, 11, 34, 156]
+
+
+def test_graphs_up_to_iso_matches_the_mask_scan():
+    for n in range(6):
+        grown, scanned = graphs_up_to_iso(n), graphs_by_mask_scan(n)
+        assert sorted(g.sorted_edges for g in grown) == sorted(g.sorted_edges for g in scanned)
+        if n <= 4:
+            assert grown == scanned, n
 
 
 def test_graphs_up_to_iso_ceiling():
@@ -164,6 +183,94 @@ def test_enumerate_uniform_01_n3():
     rep = enumerate_critical(DefectParams(0, 1), 3, mode="uniform")
     assert rep.graphs_examined == 4
     assert rep.criticals == ()  # fixed by exhaustion
+
+
+UNIFORM_PAIRS = [(0, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 4)]
+
+
+def _uniform_survey_by_is_critical(params, n):
+    """Uniform survey decided graph by graph with is_critical(Exhaustive):
+    (criticals, sparsity violations) in graphs_up_to_iso order."""
+    criticals, sparse = [], []
+    for graph in graphs_up_to_iso(n):
+        inst = WeightedInstance.uniform(graph, params)
+        verdict = is_critical(inst, Exhaustive(max_edges=15))
+        entry = CriticalEntry(
+            graph.sorted_edges, inst.caps.pairs, subset_potential(inst, range(n))
+        )
+        if (
+            in_guaranteed_range(params)
+            and verdict.witness is not None
+            and sparsity_test(graph, params).sparse
+        ):
+            sparse.append(entry)
+        if verdict.verdict == CRITICAL:
+            criticals.append(entry)
+    return tuple(criticals), tuple(sparse)
+
+
+@pytest.mark.parametrize("i,j", UNIFORM_PAIRS)
+def test_uniform_survey_matches_per_graph_is_critical(i, j):
+    params = DefectParams(i, j)
+    for n in range(6):
+        rep = enumerate_critical(params, n, mode="uniform")
+        criticals, sparse = _uniform_survey_by_is_critical(params, n)
+        assert rep.graphs_examined == rep.pairs_examined == len(graphs_up_to_iso(n))
+        assert rep.criticals == criticals, (i, j, n)
+        assert rep.sparsity_violations == sparse
+        assert rep.potential_violations == tuple(
+            e for e in criticals if in_guaranteed_range(params) and e.rho > i - j - 1
+        )
+        assert rep.min_edges == min((len(e.edges) for e in criticals), default=None)
+
+
+def test_uniform_survey_n6():
+    rep = enumerate_critical(P12, 6, mode="uniform")
+    assert rep.graphs_examined == 156
+    assert rep.min_edges == 12 and rep.bound_min_edges == 10
+    assert not rep.potential_violations and not rep.sparsity_violations
+    k6 = set(itertools.combinations(range(6), 2))
+    assert [k6 - set(e.edges) for e in rep.criticals] == [
+        {(3, 4), (3, 5), (4, 5)},
+        {(2, 5), (3, 5), (4, 5)},
+        {(2, 3), (4, 5)},
+    ]
+    assert [e.rho for e in rep.criticals] == [-6, -6, -8]
+
+
+@st.composite
+def signed_edge_deletions(draw):
+    """A random instance on at most 5 vertices, one of its edges, and a
+    signing of the instance without that edge."""
+    n = draw(st.integers(2, 5))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [e for e, k in zip(pairs, keep) if k] or [pairs[0]]
+    i = draw(st.integers(0, 2))
+    params = DefectParams(i, draw(st.integers(i, i + 2)))
+    cap = st.tuples(st.integers(-1, params.i), st.integers(-1, params.j))
+    caps = CapacityFunction(tuple(draw(st.lists(cap, min_size=n, max_size=n))))
+    inst = WeightedInstance(SimpleGraph.from_edges(n, edges), params, caps)
+    edge = draw(st.sampled_from(sorted(edges)))
+    minus = inst.without_edge(edge)
+    bits = draw(st.integers(0, (1 << minus.graph.edge_count()) - 1))
+    return inst, edge, CoverSigning.from_bits(minus.graph, bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_edge_deletions())
+def test_uncolorable_signing_of_a_subgraph_extends_to_the_graph(case):
+    """The lemma behind the uniform survey's lookup: a valid map for G is
+    valid for G - e under the same signs, so an uncolorable signing of
+    G - e stays uncolorable for G with either sign on e."""
+    inst, edge, signing = case
+    minus = inst.without_edge(edge)
+    for solve in (find_coloring, brute_force_oracle):
+        if solve(minus, signing) is not None:
+            continue
+        for sign in (PARALLEL, TWISTED):
+            extended = CoverSigning.from_dict(inst.graph, {**signing.as_dict(), edge: sign})
+            assert solve(inst, extended) is None, (solve.__name__, sign)
 
 
 def test_enumerate_weighted_small_counts():

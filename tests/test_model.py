@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpdefect import (
     PARALLEL,
@@ -176,6 +179,75 @@ def test_roundtrip_random_instances():
             signing = None  # edgeless: sign presence is carried by edge lines
         text = serialize_instance(inst, signing)
         assert parse_instance(text) == (inst, signing)
+
+
+# Arguments that reach every branch of the parser: in- and out-of-range
+# integers, integers int() takes but the grammar does not, digit strings
+# around int()'s length limit, and arbitrary short text.
+_ARGS = st.one_of(
+    st.integers(-2, 6).map(str),
+    st.sampled_from(["-0", "+1", "1_0", "١", "²", "", "=", "P", "T", "X", "#"]),
+    st.integers(4290, 4310).map(lambda k: "7" * k),
+    st.text(max_size=3),
+)
+_LINES = st.one_of(
+    st.builds(
+        lambda keyword, args: " ".join([keyword, *args]),
+        st.sampled_from(["dpgraph", "params", "vertices", "cap", "edge"]),
+        st.lists(
+            st.one_of(_ARGS, st.builds("{}={}".format, st.sampled_from("ijk"), _ARGS)),
+            max_size=4,
+        ),
+    ),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def instance_like_texts(draw):
+    """Text whose lines mostly follow the grammar's shape: an optional
+    well-formed header, params and vertices line, then lines of keywords
+    with random arguments, joined by any line break."""
+    head = [
+        "dpgraph 1",
+        f"params i=1 j={draw(st.integers(0, 3))}",
+        f"vertices {draw(st.integers(0, 4))}",
+    ]
+    lines = [line for line in head if draw(st.integers(0, 4))]
+    lines += draw(st.lists(_LINES, max_size=6))
+    return draw(st.sampled_from(["\n", "\r\n", "\x0b"])).join(lines)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(st.text(), instance_like_texts()))
+def test_parse_raises_only_instance_format_errors(text):
+    try:
+        parse_instance(text)
+    except InstanceFormatError:
+        pass
+
+
+@st.composite
+def instances_with_signings(draw):
+    n = draw(st.integers(0, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = [e for e in pairs if draw(st.booleans())]
+    i = draw(st.integers(0, 3))
+    params = DefectParams(i, draw(st.integers(i, i + 4)))
+    cap = st.tuples(st.integers(-1, params.i), st.integers(-1, params.j))
+    caps = CapacityFunction(tuple(draw(st.lists(cap, min_size=n, max_size=n))))
+    inst = WeightedInstance(SimpleGraph.from_edges(n, edges), params, caps)
+    signing = None
+    if edges and draw(st.booleans()):  # an edgeless file carries no signs
+        signing = CoverSigning.from_bits(inst.graph, draw(st.integers(0, (1 << len(edges)) - 1)))
+    return inst, signing
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances_with_signings())
+def test_parse_inverts_serialize(case):
+    inst, signing = case
+    assert parse_instance(serialize_instance(inst, signing)) == (inst, signing)
 
 
 def test_graph_equality_order_independent():
