@@ -22,6 +22,7 @@ from .model import (
     DefectParams,
     InstanceFormatError,
     WeightedInstance,
+    _ascii_int,
     instance_digest,
     map_from_str,
     map_to_str,
@@ -138,7 +139,9 @@ def _cmd_potential(args) -> tuple[int, dict, list[str]]:
     lines = []
     if args.subset is not None:
         try:
-            subset = tuple(int(t) for t in args.subset.split(",") if t != "")
+            subset = tuple(_ascii_int(t) for t in args.subset.split(",") if t != "")
+            if len(set(subset)) != len(subset):
+                raise ValueError(f"repeated vertex in --subset {args.subset!r}")
             value = subset_potential(instance, subset)
         except ValueError as exc:
             raise _CliError(str(exc)) from exc
@@ -245,7 +248,7 @@ def _cmd_construct(args) -> tuple[int, dict, list[str]]:
 def _cmd_critical(args) -> tuple[int, dict, list[str]]:
     if args.construct:
         try:
-            i, j, m = (int(t) for t in args.construct.split(","))
+            i, j, m = _ints(args.construct, 3)
             params = DefectParams(i, j)
             instance, spec = flag_path_instance(params, m)
         except ValueError as exc:
@@ -328,23 +331,20 @@ def _cmd_enumerate(args) -> tuple[int, dict, list[str]]:
     return (0 if consistent else 1), payload, lines
 
 
-def _parse_pairs(text: str) -> list[tuple[int, int]]:
-    pairs = []
-    for chunk in text.split(";"):
-        i_str, j_str = chunk.split(",")
-        pairs.append((int(i_str), int(j_str)))
-    return pairs
+def _ints(text: str, size: int) -> tuple[int, ...]:
+    """`size` comma-separated integers, each read by the instance-file rule
+    (ASCII digits, optional minus sign)."""
+    values = tuple(_ascii_int(t) for t in text.split(","))
+    if len(values) != size:
+        raise ValueError(f"expected {size} comma-separated integers, got {text!r}")
+    return values
 
 
 def _cmd_verify(args) -> tuple[int, dict, list[str]]:
     try:
-        pairs = _parse_pairs(args.pairs)
-        ms = [int(t) for t in args.ms.split(",")]
-        crits = []
-        if args.criticality:
-            for chunk in args.criticality.split(";"):
-                i_str, j_str, m_str = chunk.split(",")
-                crits.append((int(i_str), int(j_str), int(m_str)))
+        pairs = [_ints(chunk, 2) for chunk in args.pairs.split(";")]
+        ms = [_ascii_int(t) for t in args.ms.split(",")]
+        crits = [_ints(c, 3) for c in args.criticality.split(";")] if args.criticality else []
         report = harness.verify_sharpness_suite(pairs, ms, criticality=crits)
     except ValueError as exc:
         raise _CliError(str(exc)) from exc

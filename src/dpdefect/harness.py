@@ -17,8 +17,6 @@ from contextlib import closing
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from .constructions import (
     ConstructionSpec,
     FlagSpec,
@@ -458,55 +456,40 @@ class EnumerationReport:
 
     @property
     def bound_satisfied(self) -> bool | None:
-        if self.min_edges is None:
+        """None without criticals, and in weighted mode: the bound holds
+        only with capacities (i, j) everywhere."""
+        if self.min_edges is None or self.mode != MODE_UNIFORM:
             return None
         return self.min_edges >= self.bound_min_edges
 
 
-def _defect_tensor(graph: SimpleGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Conflicts C[edge, map, signing], defects D[map, signing, vertex] (the
-    sum of the conflicts at each vertex) and the per-map choice bits.
-
-    Maps and signings are numbered as binary counters: vertex v is bit v of
-    a map and edge k (in sorted order) is bit k of a signing.
-    """
-    n = graph.n
-    m = len(graph.sorted_edges)
-    maps = np.arange(1 << n, dtype=np.uint32)
-    sgn = np.arange(1 << m, dtype=np.uint32)
-    C = np.zeros((m, 1 << n, 1 << m), dtype=np.int8)
-    D = np.zeros((1 << n, 1 << m, n), dtype=np.int8)
-    for k, (u, v) in enumerate(graph.sorted_edges):
-        xor = ((maps >> u) ^ (maps >> v)) & 1
-        sbit = (sgn >> k) & 1
-        C[k] = xor[:, None] == sbit[None, :]
-        D[:, :, u] += C[k]
-        D[:, :, v] += C[k]
-    mapbits = ((maps[:, None] >> np.arange(n)) & 1).astype(bool)
-    return C, D, mapbits
+def _bit_pattern(t: int, width: int) -> int:
+    """The bitset of the numbers below 2**width whose bit t is set."""
+    pattern, span = ((1 << (1 << t)) - 1) << (1 << t), 2 << t
+    while span < 1 << width:
+        pattern |= pattern << span
+        span <<= 1
+    return pattern
 
 
-def _within_caps(
-    defects: np.ndarray, rich: np.ndarray, caps: list[tuple[int, int]]
-) -> dict[tuple[int, int], int]:
-    """For each cap pair, the bitset of (map, signing) at which one vertex's
-    defect is within it; bit (map << m) + signing, m the edge count.
-
-    `defects` is that vertex's D[map, signing], `rich` its choice per map.
-    """
-    c1 = np.array([c[0] for c in caps])
-    c2 = np.array([c[1] for c in caps])
-    bound = np.where(rich[None, :], c2[:, None], c1[:, None])
-    within = defects[None, :, :] <= bound[:, :, None]
-    rows = np.packbits(within.reshape(len(caps), -1), axis=1, bitorder="little")
-    return {cap: int.from_bytes(row.tobytes(), "little") for cap, row in zip(caps, rows)}
+def _at_most(conflicts: list[int], top: int, everything: int) -> list[int]:
+    """Entry c + 1: the bits at which at most c of `conflicts` hold, for
+    c = -1..top (an at-least-t count over the sets, then complemented)."""
+    at_least = [everything] + [0] * (top + 1)
+    for conflict in conflicts:
+        for t in range(top + 1, 0, -1):
+            at_least[t] |= at_least[t - 1] & conflict
+    return [0] + [everything ^ a for a in at_least[1:]]
 
 
 class _WeightedTables:
     """Bitsets over (map, signing) that decide criticality for every
     capacity function on one graph.
 
-    A pair's valid (map, signing) set is the AND of one table per vertex.
+    Bit (map << m) + signing, m the edge count, stands for one (map,
+    signing): vertex v is bit v of a map (1 = rich), edge k (sorted order)
+    bit k of a signing.  vertex[v][cap] holds where v's conflicts are
+    within cap, and a pair's valid set is the AND of one table per vertex.
     OR-folding it over the maps leaves the set of colorable signings.
     Phase 2 for G - e uses the endpoint tables with e's conflict taken
     away; they no longer depend on e's sign bit, so each signing of G - e
@@ -516,19 +499,28 @@ class _WeightedTables:
     def __init__(self, graph: SimpleGraph, params: DefectParams):
         n, m = graph.n, len(graph.sorted_edges)
         caps = [(c1, c2) for c1 in range(-1, params.i + 1) for c2 in range(-1, params.j + 1)]
-        C, D, mapbits = _defect_tensor(graph)
+        top = max(params.i, params.j)
+        everything = (1 << (1 << (n + m))) - 1
+        rich = [_bit_pattern(m + v, n + m) for v in range(n)]
+        conflict = [
+            everything & ~(rich[u] ^ rich[w] ^ _bit_pattern(k, n + m))
+            for k, (u, w) in enumerate(graph.sorted_edges)
+        ]
+        incident = [[k for k, e in enumerate(graph.sorted_edges) if v in e] for v in range(n)]
+
+        def table(v: int, skip: int | None = None) -> dict[tuple[int, int], int]:
+            at_most = _at_most([conflict[k] for k in incident[v] if k != skip], top, everything)
+            poor = everything ^ rich[v]
+            return {c: poor & at_most[c[0] + 1] | rich[v] & at_most[c[1] + 1] for c in caps}
+
         self.caps = caps
         self.n = n
         self.shifts = [1 << (m + k) for k in range(n)]
         self.full = (1 << (1 << m)) - 1
-        self.everything = (1 << (1 << (n + m))) - 1
-        self.vertex = [_within_caps(D[:, :, v], mapbits[:, v], caps) for v in range(n)]
+        self.everything = everything
+        self.vertex = [table(v) for v in range(n)]
         self.edges = [
-            (
-                (u, _within_caps(D[:, :, u] - C[k], mapbits[:, u], caps)),
-                (w, _within_caps(D[:, :, w] - C[k], mapbits[:, w], caps)),
-                tuple(v for v in range(n) if v not in (u, w)),
-            )
+            ((u, table(u, k)), (w, table(w, k)), tuple(v for v in range(n) if v not in (u, w)))
             for k, (u, w) in enumerate(graph.sorted_edges)
         ]
         self.isolated = n >= 2 and any(graph.degree(v) == 0 for v in range(n))
@@ -581,9 +573,9 @@ def enumerate_critical(
     Criticals and sparsity violations are listed in graphs_up_to_iso order.
     Weighted mode sweeps every capacity function (n <= 4) and records any
     critical pair whose potential exceeds the i - j - 1 ceiling.  Its
-    verdicts come from per-graph defect bitsets (numpy builds them once per
-    graph); each critical pair is cross-checked by the solver, which must
-    fail to color the smallest uncolorable signing the bitsets found.
+    verdicts come from per-graph defect bitsets, built once per graph from
+    Python ints; each critical pair is cross-checked by the solver, which
+    must fail to color the smallest uncolorable signing the bitsets found.
     """
     if mode not in (MODE_UNIFORM, MODE_WEIGHTED):
         raise ValueError(f"unknown mode {mode!r}")

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import dpdefect
 
 from dpdefect import (
     CapacityFunction,
@@ -146,6 +152,33 @@ def test_enumerate_consistent(capsys):
     assert payload["critical_found"] == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["potential", "K2", "--subset", "0,0"],
+        ["potential", "K2", "--subset", "0,\u0661"],
+        ["potential", "K2", "--subset", "+1"],
+        ["verify", "--pairs", "1,\u0662"],
+        ["verify", "--pairs", "1,2,3"],
+        ["verify", "--ms", "\u0661"],
+        ["verify", "--ms", "0_1"],
+        ["verify", "--criticality", "1,2"],
+        ["verify", "--criticality", "1,2,\u0661"],
+        ["critical", "--construct", "1,2,\u0661", "--strategy", "reduced"],
+        ["critical", "--construct", "1,2", "--strategy", "reduced"],
+        ["critical", "--construct", "1,2,1;1,2,1", "--strategy", "reduced"],
+    ],
+    ids=" ".join,
+)
+def test_cli_integer_lists_follow_the_file_grammar(tmp_path, capsys, argv):
+    inst = WeightedInstance.uniform(
+        SimpleGraph.from_edges(2, [(0, 1)]), DefectParams(1, 2)
+    )
+    path = write_instance(tmp_path, "k2.dpg", inst)
+    code, stdout, err = run(capsys, [path if a == "K2" else a for a in argv])
+    assert code == 2 and stdout == "" and err.startswith("error: ")
+
+
 def test_verify_default(capsys):
     code, stdout, _ = run(capsys, ["verify", "--pairs", "1,2;1,3", "--ms", "1"])
     assert code == 0
@@ -258,7 +291,7 @@ GOLDEN_JSON = [
         '{"bound_min_edges":6,"command":"enumerate","critical_found":493,'
         '"graphs_examined":4,"min_edges":2,"mode":"weighted","n":3,'
         '"pairs_examined":6912,"params":{"i":1,"j":2},"potential_violations":0,'
-        '"sparsity_violations":0,"verdict":"violations"}',
+        '"sparsity_violations":0,"verdict":"consistent"}',
     ),
     (
         ["sample", "G121", "--count", "500", "--seed", "7"],
@@ -290,3 +323,21 @@ def test_json_stdout_is_pinned(tmp_path, capsys, argv, stdout):
     }
     _, out, _ = run(capsys, [files.get(a, a) for a in argv] + ["--json"])
     assert out == stdout + "\n"
+
+
+def test_weighted_enumerate_runs_without_numpy():
+    # A None entry in sys.modules makes `import numpy` raise ImportError.
+    argv = ["enumerate", "--i", "1", "--j", "2", "--n", "3", "--mode", "weighted", "--json"]
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from dpdefect.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    src = str(Path(dpdefect.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == next(out for a, out in GOLDEN_JSON if a == argv[:-1]) + "\n"

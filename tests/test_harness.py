@@ -227,7 +227,7 @@ def test_uniform_survey_matches_per_graph_is_critical(i, j):
 def test_uniform_survey_n6():
     rep = enumerate_critical(P12, 6, mode="uniform")
     assert rep.graphs_examined == 156
-    assert rep.min_edges == 12 and rep.bound_min_edges == 10
+    assert rep.min_edges == 12 and rep.bound_min_edges == 10 and rep.bound_satisfied
     assert not rep.potential_violations and not rep.sparsity_violations
     k6 = set(itertools.combinations(range(6), 2))
     assert [k6 - set(e.edges) for e in rep.criticals] == [
@@ -288,11 +288,49 @@ def test_enumerate_weighted_small_counts():
     assert rep3.pairs_examined == 6912
     assert len(rep3.criticals) == 493
     assert not rep3.potential_violations
+    # the uniform edge bound (6 at n=3) does not apply to lowered capacities
+    assert rep3.min_edges == 2 and rep3.bound_satisfied is None
 
 
 def test_enumerate_weighted_guard():
     with pytest.raises(ValueError):
         enumerate_critical(P12, 5, mode="weighted")
+
+
+@pytest.mark.parametrize("params", [P12, DefectParams(2, 4)], ids=str)
+def test_weighted_table_bits_match_a_direct_defect_count(params):
+    """Every bit of every vertex and edge table against v's conflicts counted
+    under that (map, signing), with and without edge k, within the cap."""
+    for n in range(4):
+        for graph in graphs_up_to_iso(n):
+            tables = _WeightedTables(graph, params)
+            edges = graph.sorted_edges
+            m = len(edges)
+            assert [(u, w) for (u, _), (w, _), _ in tables.edges] == list(edges)
+            for cmap, signs in itertools.product(range(1 << n), range(1 << m)):
+                bit = (cmap << m) + signs
+                conflicts = [
+                    ((cmap >> u) ^ (cmap >> w)) & 1 == (signs >> k) & 1
+                    for k, (u, w) in enumerate(edges)
+                ]
+
+                def within(v, table, skip=None):
+                    defect = sum(
+                        c for k, c in enumerate(conflicts) if v in edges[k] and k != skip
+                    )
+                    for cap in tables.caps:
+                        assert 0 <= table[cap] <= tables.everything
+                        bound = cap[(cmap >> v) & 1]
+                        assert (table[cap] >> bit) & 1 == (defect <= bound), (
+                            graph, v, skip, cmap, signs, cap)
+
+                for v in range(n):
+                    within(v, tables.vertex[v])
+                for k, ((u, table_u), (w, table_w), others) in enumerate(tables.edges):
+                    within(u, table_u, k)
+                    within(w, table_w, k)
+                    assert others == tuple(x for x in range(n) if x not in edges[k])
+            assert tables.everything == (1 << (1 << (n + m))) - 1
 
 
 def _assert_bitsets_match_solver(graph, params, caps, tables=None):
