@@ -130,6 +130,8 @@ def _cmd_check(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_potential(args) -> tuple[int, dict, list[str]]:
+    if args.subset is not None and args.min is not None:
+        raise _CliError("--subset and --min cannot be combined")
     instance, signing = _load_instance(args.file)
     payload: dict = {
         "command": "potential",
@@ -246,6 +248,10 @@ def _cmd_construct(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_critical(args) -> tuple[int, dict, list[str]]:
+    if args.workers < 1:
+        raise _CliError(f"--workers must be at least 1, got {args.workers}")
+    if args.construct and args.file:
+        raise _CliError("critical takes an instance file or --construct i,j,m, not both")
     if args.construct:
         try:
             i, j, m = _ints(args.construct, 3)

@@ -12,6 +12,7 @@ subgraph with the full edge set).
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
@@ -125,13 +126,15 @@ def _check_deleted_edge(args) -> tuple[Edge, CoverSigning | None, int, int, int]
 
 
 def _deleted_edge_results(work: list, workers: int) -> Iterator[tuple]:
-    """`_check_deleted_edge` over `work`, yielded in order.  With workers > 1
-    the edges run in a process pool; closing the iterator early cancels
-    the edges that have not started."""
-    if workers <= 1 or len(work) <= 1:
+    """`_check_deleted_edge` over `work`, yielded in order.  The edges run in
+    a process pool of min(workers, edges, CPUs) processes, or serially when
+    that is 1; closing the iterator early cancels the edges that have not
+    started."""
+    pool_size = min(workers, len(work), os.cpu_count() or 1)
+    if pool_size <= 1:
         yield from map(_check_deleted_edge, work)
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=pool_size) as pool:
         futures = [pool.submit(_check_deleted_edge, item) for item in work]
         try:
             for future in futures:
@@ -275,8 +278,8 @@ def is_critical(
     stops at the first edge (in order) that does not.  Sampled runs never
     certify: a clean sampled pass yields the non-certifying UNREFUTED.
 
-    Exhaustive and Sampled runs hand signings to the solver, and with
-    workers > 1 spread phase 2's edges over a process pool.  A Reduced run
+    Exhaustive and Sampled runs hand signings to the solver, and spread
+    phase 2's edges over min(workers, edges, CPUs) processes.  A Reduced run
     decides both phases from flag profiles: the fewest conflicts each flag
     can put on its base, for a poor and a rich base, with its top and
     middles valid.  It tries every path signing with every maximal load per

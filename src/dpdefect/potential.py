@@ -3,6 +3,11 @@
 The potential of a vertex with capacities (c1, c2) is i - j + 1 + c1 + c2;
 a vertex set additionally pays (i+1) per induced edge.  Everything here is
 exact integer arithmetic.
+
+Sparsity is a potential question: with capacities (i, j) everywhere every
+vertex has potential 2i+1, so the sparsity margin of S is exactly
+(i - j) - rho(S), and G is sparse iff min rho over nonempty S is at least
+i - j.  `min_potential_subset` is the one scan over subsets.
 """
 
 from __future__ import annotations
@@ -84,9 +89,7 @@ def _verts_of_mask(mask: int) -> tuple[int, ...]:
 
 
 def min_potential_subset(
-    instance: WeightedInstance,
-    mode: str = MODE_NONEMPTY,
-    max_n: int = DEFAULT_SUBSET_CEILING,
+    instance: WeightedInstance, mode: str = MODE_NONEMPTY
 ) -> PotentialReport:
     """Exhaustive minimum of the subset potential.
 
@@ -98,8 +101,8 @@ def min_potential_subset(
         raise ValueError(f"unknown mode {mode!r}")
     graph = instance.graph
     n = graph.n
-    if n > max_n:
-        raise ValueError(f"subset ceiling exceeded: n={n} > {max_n}")
+    if n > DEFAULT_SUBSET_CEILING:
+        raise ValueError(f"subset ceiling exceeded: n={n} > {DEFAULT_SUBSET_CEILING}")
     if n == 0 or (n == 1 and mode == MODE_NONEMPTY_PROPER):
         raise ValueError("no subsets in the requested family")
 
@@ -170,57 +173,33 @@ def check_submodularity(
     return lhs - rhs
 
 
-def sparsity_test(
-    graph: SimpleGraph,
-    params: DefectParams,
-    max_n: int = DEFAULT_SUBSET_CEILING,
-) -> SparsityResult:
+def sparsity_test(graph: SimpleGraph, params: DefectParams) -> SparsityResult:
     """Check (i+1)|E(G[S])| <= (2i+1)|S| + j - i for every nonempty subset.
 
-    Scans subsets directly (independently of min_potential_subset).  Dense
-    verdicts report the maximum-margin violating subset.  Above the subset
-    ceiling only the whole vertex set is checked: a violation there still
-    certifies Dense, but Sparse cannot be certified and raises.
+    The margin of S, the left side minus the right, equals
+    (i - j) - rho(S) under uniform capacities, so the maximum-margin subset
+    is the `min_potential_subset` minimiser, with the same tie-break:
+    smaller subset first, then the lexicographically smaller one.  Dense
+    verdicts report that subset.  Above the subset ceiling only the whole
+    vertex set is checked: a violation there still certifies Dense, with
+    the whole set as witness (not necessarily the maximum-margin subset),
+    but Sparse cannot be certified and raises.
     """
     n = graph.n
-    i, j = params.i, params.j
-    masks = graph.adjacency_masks
-
-    def margin_of(mask: int) -> int:
-        edges = 0
-        m = mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            edges += (masks[v] & mask).bit_count()
-            m &= m - 1
-        edges //= 2
-        return (i + 1) * edges - ((2 * i + 1) * mask.bit_count() + j - i)
-
     if n == 0:
         return SparsityResult(True, None, None)
-    if n > max_n:
-        full = (1 << n) - 1
-        margin = margin_of(full)
+    slack = params.i - params.j
+    uniform = WeightedInstance.uniform(graph, params)
+    if n > DEFAULT_SUBSET_CEILING:
+        margin = slack - subset_potential(uniform, range(n))
         if margin > 0:
             return SparsityResult(False, tuple(range(n)), margin)
         raise ValueError(
-            f"subset ceiling exceeded: n={n} > {max_n} and the whole graph "
-            "does not witness density"
+            f"subset ceiling exceeded: n={n} > {DEFAULT_SUBSET_CEILING} and the "
+            "whole graph does not witness density"
         )
-
-    best_margin = 0
-    best_mask = 0
-    for mask in range(1, 1 << n):
-        margin = margin_of(mask)
-        if margin > best_margin or (
-            margin == best_margin
-            and best_mask
-            and margin > 0
-            and (mask.bit_count(), _verts_of_mask(mask))
-            < (best_mask.bit_count(), _verts_of_mask(best_mask))
-        ):
-            best_margin = margin
-            best_mask = mask
-    if best_margin > 0:
-        return SparsityResult(False, _verts_of_mask(best_mask), best_margin)
+    report = min_potential_subset(uniform)
+    margin = slack - report.value
+    if margin > 0:
+        return SparsityResult(False, report.subset, margin)
     return SparsityResult(True, None, None)

@@ -167,6 +167,13 @@ def test_enumerate_consistent(capsys):
         ["critical", "--construct", "1,2,\u0661", "--strategy", "reduced"],
         ["critical", "--construct", "1,2", "--strategy", "reduced"],
         ["critical", "--construct", "1,2,1;1,2,1", "--strategy", "reduced"],
+        # options that would otherwise be ignored
+        ["potential", "K2", "--subset", "0", "--min", "nonempty"],
+        ["potential", "K2", "--subset", "0,1", "--min", "proper"],
+        ["critical", "K2", "--construct", "1,2,1", "--strategy", "reduced"],
+        ["critical", "K2", "--workers", "0"],
+        ["critical", "K2", "--workers", "-4"],
+        ["critical", "--construct", "1,2,1", "--strategy", "reduced", "--workers", "0"],
     ],
     ids=" ".join,
 )
@@ -292,6 +299,20 @@ GOLDEN_JSON = [
         '"graphs_examined":4,"min_edges":2,"mode":"weighted","n":3,'
         '"pairs_examined":6912,"params":{"i":1,"j":2},"potential_violations":0,'
         '"sparsity_violations":0,"verdict":"consistent"}',
+    ),
+    (
+        ["sparsity", "G121"],
+        '{"command":"sparsity",'
+        '"instance_digest":"c30256ae233fccf5d266a81f4143d88358bfaa4c4ee87001c2a594fb68e9f3c8",'
+        '"margin":1,"params":{"i":1,"j":2},"verdict":"dense",'
+        '"witness":[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15]}',
+    ),
+    (
+        ["potential", "G121", "--min", "proper"],
+        '{"command":"potential",'
+        '"instance_digest":"c30256ae233fccf5d266a81f4143d88358bfaa4c4ee87001c2a594fb68e9f3c8",'
+        '"mode":"nonempty-proper","params":{"i":1,"j":2},'
+        '"subset":[0,1,2,3,4,5,6,7,8,9,10,11,12],"value":-1}',
     ),
     (
         ["sample", "G121", "--count", "500", "--seed", "7"],

@@ -649,13 +649,15 @@ def test_reduced_rejects_a_spec_of_another_graph():
 
 class _LazyPool:
     """In-process stand-in for ProcessPoolExecutor: a task runs only when
-    its result is read, so a test sees which edges were ever checked."""
+    its result is read, so a test sees which edges were ever checked, and
+    `sizes` records the pool size each construction asked for."""
 
     ran: list = []
     futures: list = []
+    sizes: list = []
 
     def __init__(self, max_workers):
-        pass
+        self.sizes.append(max_workers)
 
     def __enter__(self):
         return self
@@ -678,6 +680,14 @@ class _LazyPool:
         return future
 
 
+def _use_lazy_pool(monkeypatch, cpus):
+    monkeypatch.setattr(_LazyPool, "ran", [])
+    monkeypatch.setattr(_LazyPool, "futures", [])
+    monkeypatch.setattr(_LazyPool, "sizes", [])
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _LazyPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+
+
 def test_phase2_with_workers_stops_at_the_first_failing_edge(monkeypatch):
     # a triangle behind a pendant path: deleting (0, 1) leaves the triangle
     graph = SimpleGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (2, 4), (3, 4)])
@@ -686,9 +696,29 @@ def test_phase2_with_workers_stops_at_the_first_failing_edge(monkeypatch):
     assert serial.verdict == NOT_CRITICAL and serial.failing_edge == (0, 1)
     assert is_critical(inst, Exhaustive(), workers=2) == serial
 
-    monkeypatch.setattr(_LazyPool, "ran", [])
-    monkeypatch.setattr(_LazyPool, "futures", [])
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _LazyPool)
+    _use_lazy_pool(monkeypatch, cpus=8)
     assert is_critical(inst, Exhaustive(), workers=2) == serial
+    assert _LazyPool.sizes == [2]
     assert _LazyPool.ran == [(0, 1)]
     assert [f.cancelled() for f in _LazyPool.futures] == [False] + [True] * 4
+
+
+@pytest.mark.parametrize(
+    "workers,cpus,pool_sizes",
+    [
+        (5000, 64, [3]),  # never more processes than edges
+        (5000, 2, [2]),  # nor more than CPUs
+        (2, 64, [2]),
+        (5000, 1, []),  # one CPU: serial, no pool
+        (5000, None, []),  # CPU count unknown: serial
+        (1, 64, []),
+        (0, 64, []),
+    ],
+)
+def test_phase2_pool_is_bounded_by_edges_and_cpus(monkeypatch, workers, cpus, pool_sizes):
+    inst = WeightedInstance.uniform(cycle_graph(3), P00)
+    serial = is_critical(inst, Exhaustive())
+    _use_lazy_pool(monkeypatch, cpus)
+    assert is_critical(inst, Exhaustive(), workers=workers) == serial
+    assert _LazyPool.sizes == pool_sizes
+    assert _LazyPool.ran == ([(0, 1), (0, 2), (1, 2)] if pool_sizes else [])

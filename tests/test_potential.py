@@ -157,18 +157,44 @@ def test_sparsity_ceiling_paths():
     # 33 vertices: above the default ceiling, but the whole graph witnesses density
     params = DefectParams(2, 4)
     graph, _ = __import__("dpdefect").flag_path_graph(params, 1)
-    assert not sparsity_test(graph, params, max_n=24).sparse
+    res = sparsity_test(graph, params)
+    assert not res.sparse
+    assert res.witness == tuple(range(graph.n)) and res.margin == 1
     sparse_big = SimpleGraph(30, frozenset())
     with pytest.raises(ValueError, match="ceiling"):
-        sparsity_test(sparse_big, params, max_n=24)
+        sparsity_test(sparse_big, params)
 
 
-def test_sparsity_agrees_with_potential_formulation():
+def _direct_density(graph, params):
+    """(sparse, witness, margin) from counting the edges of every nonempty
+    subset: the maximum margin, ties to the smaller, then lex-smaller subset."""
+    i, j = params.i, params.j
+    best = (0, None)
+    for size in range(1, graph.n + 1):
+        for subset in itertools.combinations(range(graph.n), size):
+            inside = set(subset)
+            edges = sum(1 for u, v in graph.edges if u in inside and v in inside)
+            margin = (i + 1) * edges - ((2 * i + 1) * size + j - i)
+            if margin > best[0]:
+                best = (margin, subset)
+    if best[1] is None:
+        return True, None, None
+    return False, best[1], best[0]
+
+
+def test_sparsity_matches_a_direct_density_count():
     rng = random.Random(90)
+    dense = 0
     for _ in range(60):
         graph = random_graph(rng, rng.randint(1, 9), rng.choice([0.2, 0.4, 0.6]))
-        params = DefectParams(rng.randint(1, 2), rng.randint(2, 5))
-        res = sparsity_test(graph, params)
-        inst = WeightedInstance.uniform(graph, params)
-        min_rho = min_potential_subset(inst).value
-        assert res.sparse == (min_rho >= params.i - params.j)
+        drawn = DefectParams(rng.randint(1, 2), rng.randint(2, 5))
+        for params in (
+            drawn,
+            DefectParams(0, drawn.j),
+            DefectParams(drawn.i, drawn.i),
+            DefectParams(0, 0),
+        ):
+            res = sparsity_test(graph, params)
+            assert (res.sparse, res.witness, res.margin) == _direct_density(graph, params)
+            dense += not res.sparse
+    assert dense > 0
