@@ -252,6 +252,10 @@ def _cmd_critical(args) -> tuple[int, dict, list[str]]:
         raise _CliError(f"--workers must be at least 1, got {args.workers}")
     if args.construct and args.file:
         raise _CliError("critical takes an instance file or --construct i,j,m, not both")
+    if args.strategy != "sampled" and (args.count is not None or args.seed is not None):
+        raise _CliError("--count and --seed apply only to --strategy sampled")
+    if args.strategy != "exhaustive" and args.max_edges is not None:
+        raise _CliError("--max-edges applies only to --strategy exhaustive")
     if args.construct:
         try:
             i, j, m = _ints(args.construct, 3)
@@ -267,13 +271,17 @@ def _cmd_critical(args) -> tuple[int, dict, list[str]]:
         spec = None
 
     if args.strategy == "exhaustive":
-        strategy: harness.Strategy = harness.Exhaustive(max_edges=args.max_edges)
+        strategy: harness.Strategy = (
+            harness.Exhaustive() if args.max_edges is None else harness.Exhaustive(args.max_edges)
+        )
     elif args.strategy == "reduced":
         if spec is None:
             raise _CliError("--strategy reduced requires --construct i,j,m")
         strategy = harness.Reduced(spec)
     else:
-        strategy = harness.Sampled(args.count, args.seed)
+        strategy = harness.Sampled(
+            1000 if args.count is None else args.count, args.seed or 0
+        )
 
     try:
         verdict = harness.is_critical(instance, strategy, workers=args.workers)
@@ -459,9 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="build a flag-path instance instead of reading a file")
     p.add_argument("--strategy", choices=["exhaustive", "reduced", "sampled"],
                    default="exhaustive")
-    p.add_argument("--max-edges", type=int, default=16)
-    p.add_argument("--count", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-edges", type=int, help="exhaustive only (default 16)")
+    p.add_argument("--count", type=int, help="sampled only (default 1000)")
+    p.add_argument("--seed", type=int, help="sampled only (default 0)")
     p.add_argument("--workers", type=int, default=1)
     common(p)
     p.set_defaults(handler=_cmd_critical)

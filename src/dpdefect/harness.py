@@ -485,6 +485,41 @@ def _at_most(conflicts: list[int], top: int, everything: int) -> list[int]:
     return [0] + [everything ^ a for a in at_least[1:]]
 
 
+def _uncolorable_signings(instance: WeightedInstance) -> int:
+    """The bitset of the signings (numbered as in `CoverSigning.from_bits`)
+    under which no map is valid; its lowest bit is the first uncolorable
+    signing in binary-counter order.
+
+    Under map x, edge k = (u, w) conflicts exactly at the signings whose
+    bit k equals x_u XOR x_w.  For each map the signings where every vertex
+    stays within its cap are ANDed vertex by vertex and ORed into the
+    colorable set.  A map stops as soon as it can add no new signing, and
+    the scan stops once every signing is colorable.
+    """
+    graph = instance.graph
+    n, m = graph.n, len(graph.sorted_edges)
+    full = (1 << (1 << m)) - 1
+    sign = [_bit_pattern(k, m) for k in range(m)]
+    incident = [[k for k, e in enumerate(graph.sorted_edges) if v in e] for v in range(n)]
+    caps = instance.caps
+    colorable = 0
+    for x in range(1 << n):
+        conflict = [
+            sign[k] if ((x >> u) ^ (x >> w)) & 1 else full ^ sign[k]
+            for k, (u, w) in enumerate(graph.sorted_edges)
+        ]
+        valid = full
+        for v in range(n):
+            cap = caps[v][(x >> v) & 1]
+            valid &= _at_most([conflict[k] for k in incident[v]], cap, full)[cap + 1]
+            if not valid & ~colorable:
+                break
+        colorable |= valid
+        if colorable == full:
+            break
+    return full & ~colorable
+
+
 class _WeightedTables:
     """Bitsets over (map, signing) that decide criticality for every
     capacity function on one graph.
@@ -565,15 +600,15 @@ def enumerate_critical(
 
     Uniform mode fixes capacities at (i, j) everywhere and checks, inside
     the claimed parameter range, the minimum-edge bound and that no sparse
-    graph turns out non-colorable.  It decides the graphs in increasing
-    edge count, so each G - e is, up to isomorphism, a graph already
-    decided, found by its canonical mask.  If some G - e is uncolorable, so
-    is G: an uncolorable signing of G - e stays uncolorable with either
-    sign on e, since a valid map for G is valid for G - e.  G is then not
-    critical, and needs no search.  Otherwise one exhaustive signing scan
-    decides G, which is critical iff it is uncolorable and (with n >= 2)
-    has no isolated vertex, as is_critical(..., Exhaustive(15)) decides.
-    Criticals and sparsity violations are listed in graphs_up_to_iso order.
+    graph turns out non-colorable.  Each graph's uncolorable signings come
+    from per-map signing bitsets (`_uncolorable_signings`), with no solver
+    call.  The graphs are decided in increasing edge count, so each G - e
+    is, up to isomorphism, a graph already decided, found by its canonical
+    mask.  An uncolorable G is critical iff (with n >= 2) it has no
+    isolated vertex and every G - e is colorable.  Each critical is
+    cross-checked by the solver, which must fail to color the smallest
+    uncolorable signing the bitsets found.  Criticals and sparsity
+    violations are listed in graphs_up_to_iso order.
     Weighted mode sweeps every capacity function (n <= 4) and records any
     critical pair whose potential exceeds the i - j - 1 ceiling.  Its
     verdicts come from per-graph defect bitsets, built once per graph from
@@ -602,18 +637,23 @@ def enumerate_critical(
         uncolorable: set[int] = set()
         critical: set[int] = set()
         # In increasing edge count, so the canonical mask of every G - e is
-        # already decided (and no lookup can hit before the first uncolorable).
+        # already decided.
         for graph, mask in sorted(zip(graphs, masks), key=lambda gm: gm[0].edge_count()):
-            sub = bool(uncolorable) and any(
+            instance = WeightedInstance.uniform(graph, params)
+            bad = _uncolorable_signings(instance)
+            if not bad:
+                continue
+            uncolorable.add(mask)
+            if (n >= 2 and any(graph.degree(v) == 0 for v in range(n))) or any(
                 _canonical_mask(n, mask ^ (1 << b), pairs, pair_idx) in uncolorable
                 for b in range(len(pairs))
                 if (mask >> b) & 1
-            )
-            instance = WeightedInstance.uniform(graph, params)
-            if sub or not colorable_all_covers(instance, max_edges=15).colorable:
-                uncolorable.add(mask)
-                if not sub and not (n >= 2 and any(graph.degree(v) == 0 for v in range(n))):
-                    critical.add(mask)
+            ):
+                continue
+            witness = CoverSigning.from_bits(graph, (bad & -bad).bit_length() - 1)
+            if find_coloring(instance, witness) is not None:
+                raise RuntimeError("signing bitsets and solver disagree on colorability")
+            critical.add(mask)
         for graph, mask in zip(graphs, masks):
             sparse_bad = (
                 in_guaranteed_range(params)

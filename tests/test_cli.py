@@ -174,6 +174,14 @@ def test_enumerate_consistent(capsys):
         ["critical", "K2", "--workers", "0"],
         ["critical", "K2", "--workers", "-4"],
         ["critical", "--construct", "1,2,1", "--strategy", "reduced", "--workers", "0"],
+        ["critical", "--construct", "1,2,1", "--strategy", "reduced",
+         "--count", "5", "--max-edges", "3", "--seed", "9"],
+        ["critical", "--construct", "1,2,1", "--strategy", "reduced", "--count", "5"],
+        ["critical", "--construct", "1,2,1", "--strategy", "reduced", "--seed", "0"],
+        ["critical", "--construct", "1,2,1", "--strategy", "reduced", "--max-edges", "16"],
+        ["critical", "K2", "--count", "5"],
+        ["critical", "K2", "--strategy", "exhaustive", "--seed", "9"],
+        ["critical", "K2", "--strategy", "sampled", "--max-edges", "3"],
     ],
     ids=" ".join,
 )
@@ -291,6 +299,13 @@ GOLDEN_JSON = [
         '{"bound_min_edges":6,"command":"enumerate","critical_found":0,'
         '"graphs_examined":4,"min_edges":null,"mode":"uniform","n":3,'
         '"pairs_examined":4,"params":{"i":1,"j":2},"potential_violations":0,'
+        '"sparsity_violations":0,"verdict":"consistent"}',
+    ),
+    (
+        ["enumerate", "--i", "1", "--j", "2", "--n", "6"],
+        '{"bound_min_edges":10,"command":"enumerate","critical_found":3,'
+        '"graphs_examined":156,"min_edges":12,"mode":"uniform","n":6,'
+        '"pairs_examined":156,"params":{"i":1,"j":2},"potential_violations":0,'
         '"sparsity_violations":0,"verdict":"consistent"}',
     ),
     (

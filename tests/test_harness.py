@@ -45,6 +45,7 @@ from dpdefect.harness import (
     CriticalEntry,
     _FlagProfiles,
     _WeightedTables,
+    _uncolorable_signings,
     in_guaranteed_range,
 )
 from dpdefect.solver import sample_signings
@@ -236,6 +237,60 @@ def test_uniform_survey_n6():
         {(2, 3), (4, 5)},
     ]
     assert [e.rho for e in rep.criticals] == [-6, -6, -8]
+
+
+def test_uniform_cross_check_rejects_a_colorable_witness(monkeypatch):
+    monkeypatch.setattr(harness, "find_coloring", lambda inst, signing: (0,) * inst.n)
+    with pytest.raises(RuntimeError):
+        enumerate_critical(P00, 3, mode="uniform")
+
+
+def _uncolorable_by_solver(inst):
+    graph = inst.graph
+    return sum(
+        1 << s
+        for s in range(1 << graph.edge_count())
+        if find_coloring(inst, CoverSigning.from_bits(graph, s)) is None
+    )
+
+
+def test_uncolorable_signings_match_the_solver_on_every_small_graph():
+    """Every graph with n <= 4 under seeded per-vertex caps in -1..2."""
+    rng = random.Random(3141)
+    params = DefectParams(2, 2)
+    partial = 0
+    for n in range(5):
+        for graph in graphs_up_to_iso(n):
+            for _ in range(40):
+                inst = WeightedInstance(graph, params, random_caps(rng, n, params))
+                bad = _uncolorable_signings(inst)
+                assert bad == _uncolorable_by_solver(inst), (graph, inst.caps)
+                partial += 0 < bad < (1 << (1 << graph.edge_count())) - 1
+    assert partial >= 100
+
+
+@st.composite
+def capped_instances(draw):
+    """A random instance with n <= 6 and at most 10 edges."""
+    n = draw(st.integers(1, 6))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10)) if pairs else []
+    i = draw(st.integers(0, 2))
+    params = DefectParams(i, draw(st.integers(i, i + 2)))
+    cap = st.tuples(st.integers(-1, params.i), st.integers(-1, params.j))
+    caps = CapacityFunction(tuple(draw(st.lists(cap, min_size=n, max_size=n))))
+    return WeightedInstance(SimpleGraph.from_edges(n, edges), params, caps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(capped_instances(), st.data())
+def test_uncolorable_signings_property(inst, data):
+    bad = _uncolorable_signings(inst)
+    assert bad == _uncolorable_by_solver(inst)
+    top = (1 << inst.graph.edge_count()) - 1
+    for s in data.draw(st.lists(st.integers(0, top), max_size=3)):
+        signing = CoverSigning.from_bits(inst.graph, s)
+        assert (bad >> s) & 1 == (brute_force_oracle(inst, signing) is None)
 
 
 @st.composite
