@@ -740,8 +740,9 @@ def verify_sharpness_suite(
     criticality: Iterable[tuple[int, int, int]] = (),
 ) -> SharpnessReport:
     """For each (i, j) x m: check size identities and that the hard cover
-    defeats the solver; optionally certify criticality (reduced strategy)
-    for the listed (i, j, m) triples."""
+    is uncolorable, decided by `colorable_all_covers` through the flags'
+    load tables; optionally certify criticality (reduced strategy) for the
+    listed (i, j, m) triples."""
     want_critical = set(criticality)
     entries = []
     ms = tuple(ms)
@@ -751,7 +752,7 @@ def verify_sharpness_suite(
             counts_ok = verify_counts(params, m).all_ok
             instance, spec = flag_path_instance(params, m)
             signing = hard_cover_signing(spec)
-            uncolorable = find_coloring(instance, signing) is None
+            uncolorable = not colorable_all_covers(instance, signings=(signing,)).colorable
             crit: str | None = None
             potential_ok: bool | None = None
             if (i, j, m) in want_critical:

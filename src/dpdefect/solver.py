@@ -1,11 +1,13 @@
 """Coloring validation and complete search over the cover space.
 
 `find_coloring` is a complete backtracking search (fixed vertex order,
-incremental defect counters, capacity pruning).  `brute_force_oracle`
-re-decides the same question by exhausting all 2^n maps through
-`check_coloring` and deliberately shares no search code with it.
-`colorable_all_covers` and `sample_covers` feed a stream of signings to
-one loop over the search and report a `CoverScan`.
+incremental defect counters, capacity pruning) of the whole graph.
+`brute_force_oracle` re-decides the same question by exhausting all 2^n
+maps through `check_coloring` and deliberately shares no search code with
+it.  `colorable_all_covers` and `sample_covers` feed a stream of signings
+to one loop, `_scan`, and report a `CoverScan`; the loop splits the leaf
+blocks of the block-cut tree off into load tables and searches the rest
+once per signing.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .model import (
     ColoringMap,
@@ -86,45 +88,54 @@ def check_coloring(
 
 
 class _SearchContext:
-    """Per-instance arrays reused across many signings."""
+    """Search order and incident edges for the vertices of one part of a
+    graph.  Only the part's edges are kept; arrays are indexed by the
+    vertices of the whole graph."""
 
-    __slots__ = ("n", "order", "nbrs", "cap_by")
+    __slots__ = ("size", "order", "nbrs")
 
-    def __init__(self, instance: WeightedInstance):
-        graph = instance.graph
-        self.n = graph.n
-        self.order = tuple(
-            sorted(range(graph.n), key=lambda v: (-graph.degree(v), v))
-        )
-        edge_index = graph.edge_index
-        nbrs: list[tuple[tuple[int, int], ...]] = []
-        for v in range(graph.n):
-            nbrs.append(
-                tuple(
-                    (u, edge_index[(u, v) if u < v else (v, u)])
-                    for u in graph.adjacency[v]
-                )
-            )
+    def __init__(self, graph: SimpleGraph, vertices: Iterable[int], edges: Iterable[int]):
+        sorted_edges = graph.sorted_edges
+        rows: dict[int, list[tuple[int, int]]] = {v: [] for v in vertices}
+        # in edge order, so each vertex lists its neighbours in increasing order
+        for k in sorted(edges):
+            u, w = sorted_edges[k]
+            rows[u].append((w, k))
+            rows[w].append((u, k))
+        nbrs: list[tuple[tuple[int, int], ...]] = [()] * graph.n
+        for v, row in rows.items():
+            nbrs[v] = tuple(row)
+        self.size = graph.n
+        self.order = tuple(sorted(rows, key=lambda v: (-len(nbrs[v]), v)))
         self.nbrs = tuple(nbrs)
-        self.cap_by = (
-            tuple(instance.caps[v][0] for v in range(graph.n)),
-            tuple(instance.caps[v][1] for v in range(graph.n)),
-        )
+
+
+def _caps(instance: WeightedInstance) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The poor and the rich cap of every vertex."""
+    pairs = instance.caps.pairs
+    return tuple(c for c, _ in pairs), tuple(c for _, c in pairs)
 
 
 @lru_cache(maxsize=64)
-def _context(instance: WeightedInstance) -> _SearchContext:
-    return _SearchContext(instance)
+def _context(instance: WeightedInstance) -> tuple[_SearchContext, tuple[tuple[int, ...], ...]]:
+    """The whole graph's search context, and the instance's caps."""
+    graph = instance.graph
+    return _SearchContext(graph, range(graph.n), range(len(graph.sorted_edges))), _caps(instance)
 
 
-def _solve(ctx: _SearchContext, signs: tuple[int, ...]) -> tuple[ColoringMap | None, int]:
-    """Backtracking core; returns (map or None, nodes expanded)."""
-    n = ctx.n
+def _solve(
+    ctx: _SearchContext, signs: Sequence[int], caps: tuple[Sequence[int], Sequence[int]]
+) -> tuple[ColoringMap | None, int]:
+    """Backtracking core over the vertices of `ctx`, under `signs` (indexed
+    by edge) and the poor and rich `caps` (a negative cap forbids that
+    choice); returns (map or None, nodes expanded).  A map leaves the
+    vertices outside `ctx` at -1."""
     order = ctx.order
     nbrs = ctx.nbrs
-    cap0, cap1 = ctx.cap_by
-    choice = [-1] * n
-    cnt = [0] * n
+    cap0, cap1 = caps
+    n = len(order)
+    choice = [-1] * ctx.size
+    cnt = [0] * ctx.size
     nextx = [0] * n
     bumped: list[list[int] | None] = [None] * n
     depth = 0
@@ -183,7 +194,8 @@ def find_coloring(
 ) -> ColoringMap | None:
     """Complete search for a valid map under one signing; None iff none exists."""
     signs = signing.signs_for(instance.graph)
-    cmap, _ = _solve(_context(instance), signs)
+    ctx, caps = _context(instance)
+    cmap, _ = _solve(ctx, signs, caps)
     if cmap is not None and check_coloring(instance, signing, cmap) is not None:
         raise RuntimeError("internal error: search returned an invalid map")
     return cmap
@@ -209,36 +221,201 @@ def brute_force_oracle(
     return None
 
 
-def _as_sign_tuple(
-    graph: SimpleGraph, signing: CoverSigning | tuple[int, ...]
-) -> tuple[int, ...]:
+def _as_bits(graph: SimpleGraph, signing: CoverSigning | tuple[int, ...]) -> int:
+    """A signing as an int: bit k is the sign of sorted edge k."""
     if isinstance(signing, CoverSigning):
-        return signing.signs_for(graph)
-    if len(signing) != len(graph.sorted_edges):
-        raise ValueError("sign tuple length does not match edge count")
-    return signing
+        signs = signing.signs_for(graph)
+    else:
+        signs = signing
+        if len(signs) != len(graph.sorted_edges):
+            raise ValueError("sign tuple length does not match edge count")
+        if any(s not in (0, 1) for s in signs):
+            raise ValueError("signs must be PARALLEL (0) or TWISTED (1)")
+    bits = 0
+    for s in reversed(signs):
+        bits += bits + s
+    return bits
 
 
-def _scan(
-    instance: WeightedInstance, signings: Iterable[CoverSigning | tuple[int, ...]]
-) -> CoverScan:
-    """Solve each signing in turn and stop at the first uncolorable one."""
+_BYTE_SIGNS = tuple(tuple((b >> k) & 1 for k in range(8)) for b in range(256))
+
+
+def _sign_tuple(bits: int, m: int) -> tuple[int, ...]:
+    """The signs of signing `bits` on m edges, indexed by edge (padded
+    with zeros to a multiple of 8)."""
+    signs: tuple[int, ...] = ()
+    for shift in range(0, m, 8):
+        signs += _BYTE_SIGNS[(bits >> shift) & 255]
+    return signs
+
+
+def _biconnected_components(graph: SimpleGraph) -> list[list[int]]:
+    """The edge indices of each block (biconnected component), found by
+    one depth-first search (Hopcroft and Tarjan, "Efficient algorithms for
+    graph manipulation", 1973).  Isolated vertices are in no block."""
+    adjacency = graph.adjacency
+    edge_index = graph.edge_index
+    disc = [-1] * graph.n
+    low = [0] * graph.n
+    parent = [-1] * graph.n
+    blocks: list[list[int]] = []
+    clock = 0
+    for root in range(graph.n):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = clock
+        clock += 1
+        stack = [(root, iter(adjacency[root]))]
+        edges: list[int] = []  # tree and back edges not yet in a block
+        while stack:
+            v, unseen = stack[-1]
+            for u in unseen:
+                if disc[u] < 0:
+                    parent[u] = v
+                    edges.append(edge_index[(v, u) if v < u else (u, v)])
+                    disc[u] = low[u] = clock
+                    clock += 1
+                    stack.append((u, iter(adjacency[u])))
+                    break
+                if u != parent[v] and disc[u] < disc[v]:
+                    edges.append(edge_index[(v, u) if v < u else (u, v)])
+                    low[v] = min(low[v], disc[u])
+            else:
+                stack.pop()
+                p = parent[v]
+                if p < 0:
+                    continue
+                low[p] = min(low[p], low[v])
+                if low[v] >= disc[p]:
+                    # p separates v's subtree: its edges from the tree edge on form a block
+                    k = edges.index(edge_index[(p, v) if p < v else (v, p)])
+                    blocks.append(edges[k:])
+                    del edges[k:]
+    return blocks
+
+
+class _Plan:
+    """How `_scan` decides a signing on one graph.
+
+    A leaf block is a block with exactly one cut vertex c, so it meets the
+    rest of the graph only at c.  For each choice x of c its signs matter
+    only through its load: the fewest conflicts it must put on c while its
+    other vertices stay within their caps.  The core, the graph minus the
+    interiors of the leaf blocks, is colorable with c's caps lowered by
+    its blocks' loads iff the graph is, whichever leaf blocks are split
+    off.  A leaf block is split off only when it has fewer edges than the
+    rest of the graph: over all 2^m signings each of its keys then comes
+    up at least four times, while filling a key takes two or more searches
+    of the block.  `blocks` holds (c, mask of the block's edges, search
+    context of the block) per split-off leaf block.
+    """
+
+    __slots__ = ("core", "blocks")
+
+    def __init__(self, graph: SimpleGraph):
+        edges = graph.sorted_edges
+        blocks = [
+            (block, {v for k in block for v in edges[k]})
+            for block in _biconnected_components(graph)
+        ]
+        blocks_at = [0] * graph.n
+        for _, vertices in blocks:
+            for v in vertices:
+                blocks_at[v] += 1
+        leaves = []
+        interior: set[int] = set()
+        leaf_edges: set[int] = set()
+        for block, vertices in blocks:
+            cuts = [v for v in vertices if blocks_at[v] > 1]
+            if len(cuts) == 1 and 2 * len(block) < len(edges):
+                leaves.append(
+                    (cuts[0], sum(1 << k for k in block), _SearchContext(graph, vertices, block))
+                )
+                interior |= vertices - {cuts[0]}
+                leaf_edges.update(block)
+        self.blocks = tuple(leaves)
+        self.core = _SearchContext(
+            graph,
+            (v for v in range(graph.n) if v not in interior),
+            (k for k in range(len(edges)) if k not in leaf_edges),
+        )
+
+
+@lru_cache(maxsize=64)
+def _plan(graph: SimpleGraph) -> _Plan:
+    return _Plan(graph)
+
+
+def _block_load(
+    ctx: _SearchContext,
+    cut: int,
+    signs: tuple[int, ...],
+    cap0: Sequence[int],
+    cap1: Sequence[int],
+) -> tuple[tuple[int, int], int]:
+    """A leaf block's load on its cut vertex for a poor and for a rich cut
+    vertex, and the search nodes spent.  The load is the least L for which
+    the block is colorable with the cut vertex's caps (L, -1) or (-1, L),
+    or the cut vertex's cap + 1 if no L up to that cap works."""
+    caps = (list(cap0), list(cap1))
+    loads = []
+    nodes = 0
+    for x, cap in enumerate((cap0[cut], cap1[cut])):
+        caps[1 - x][cut] = -1
+        load = 0
+        while load <= cap:
+            caps[x][cut] = load
+            cmap, spent = _solve(ctx, signs, caps)
+            nodes += spent
+            if cmap is not None:
+                break
+            load += 1
+        loads.append(load)
+    return (loads[0], loads[1]), nodes
+
+
+def _scan(instance: WeightedInstance, signings: Iterable[int]) -> CoverScan:
+    """Decide each signing in turn (an int: bit k is the sign of sorted
+    edge k) and stop at the first uncolorable one.
+
+    Each signing is decided through the graph's `_Plan`: every leaf block's
+    load is read from a table keyed by the signing's bits on the block's
+    edges, filled by a search of the block the first time a key comes up
+    and kept for this scan only; then the core is searched once, with each
+    cut vertex's caps lowered by its blocks' loads.  `nodes_expanded`
+    counts the core searches and the searches that fill the tables.  A
+    graph with no leaf block to split off is its own core, searched as
+    `find_coloring` searches it.  The worst case is a split-off block so
+    large that its keys never repeat: each of its signings then costs two
+    or more searches of the block instead of one search of the graph.
+    """
     graph = instance.graph
-    ctx = _context(instance)
+    m = len(graph.sorted_edges)
+    plan = _plan(graph)
+    core = plan.core
+    cap0, cap1 = _caps(instance)
+    tables: list[dict[int, tuple[int, int]]] = [{} for _ in plan.blocks]
     examined = 0
     nodes_total = 0
-    for signing in signings:
-        signs = _as_sign_tuple(graph, signing)
+    for bits in signings:
         examined += 1
-        cmap, nodes = _solve(ctx, signs)
+        signs = _sign_tuple(bits, m)
+        caps = (cap0, cap1)
+        if tables:
+            caps = (list(cap0), list(cap1))
+            for (cut, mask, ctx), table in zip(plan.blocks, tables):
+                key = bits & mask
+                load = table.get(key)
+                if load is None:
+                    load, nodes = _block_load(ctx, cut, signs, cap0, cap1)
+                    nodes_total += nodes
+                    table[key] = load
+                caps[0][cut] -= load[0]
+                caps[1][cut] -= load[1]
+        cmap, nodes = _solve(core, signs, caps)
         nodes_total += nodes
         if cmap is None:
-            witness = (
-                signing
-                if isinstance(signing, CoverSigning)
-                else CoverSigning(graph.sorted_edges, signs)
-            )
-            return CoverScan(witness, examined, nodes_total)
+            return CoverScan(CoverSigning.from_bits(graph, bits), examined, nodes_total)
     return CoverScan(None, examined, nodes_total)
 
 
@@ -254,17 +431,27 @@ def colorable_all_covers(
     lexicographically smallest one; more than `max_edges` edges raise
     ValueError.  A caller may instead supply its own stream, such as one
     representative signing per symmetry class or a single signing to
-    cross-check; soundness is then the caller's contract.
+    cross-check; soundness is then the caller's contract.  Each signing is
+    decided exactly by `_scan`, through leaf-block load tables and one
+    search of the core, so the witness and `signings_examined` are those
+    of a whole-graph search per signing; only `nodes_expanded` differs.
     """
+    graph = instance.graph
     if signings is None:
-        m = len(instance.graph.sorted_edges)
+        m = len(graph.sorted_edges)
         if m > max_edges:
             raise ValueError(
                 f"enumeration ceiling exceeded: |E|={m} > {max_edges}; "
                 "supply a symmetry-class iterator"
             )
-        signings = (tuple((bits >> k) & 1 for k in range(m)) for bits in range(1 << m))
-    return _scan(instance, signings)
+        return _scan(instance, range(1 << m))
+    return _scan(instance, (_as_bits(graph, s) for s in signings))
+
+
+def _sample_bits(m: int, count: int, seed: int | str) -> Iterator[int]:
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield rng.getrandbits(m) if m else 0
 
 
 def sample_signings(
@@ -272,18 +459,18 @@ def sample_signings(
 ) -> Iterator[tuple[int, ...]]:
     """Deterministic uniform sample of sign tuples (with replacement)."""
     m = len(graph.sorted_edges)
-    rng = random.Random(seed)
-    for _ in range(count):
-        bits = rng.getrandbits(m) if m else 0
+    for bits in _sample_bits(m, count, seed):
         yield tuple((bits >> k) & 1 for k in range(m))
 
 
 def sample_covers(instance: WeightedInstance, count: int, seed: int | str) -> CoverScan:
-    """Seeded random smoke test over the cover space: the loop of
-    `colorable_all_covers` over `count` signings from `sample_signings`.
+    """Seeded random smoke test over the cover space: `_scan` over the
+    `count` signings that `sample_signings` draws, fed to it as ints.
 
-    Identical (instance, count, seed) always produces the identical result.
+    Identical (instance, count, seed) always produces the identical result:
+    the load tables live for one scan only, so even `nodes_expanded` does
+    not depend on earlier calls.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    return _scan(instance, sample_signings(instance.graph, count, seed))
+    return _scan(instance, _sample_bits(len(instance.graph.sorted_edges), count, seed))

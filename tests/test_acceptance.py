@@ -1,8 +1,7 @@
-"""Acceptance suite: nine criteria, one test and one printed verdict line each.
+"""Acceptance suite: nine criteria, one printed verdict line per test.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines; several tests take minutes (sampled criticality fallback, weighted
-enumeration at n=4).
+lines; each prints its own time.
 """
 
 import itertools
@@ -95,6 +94,18 @@ def test_criterion_2_hard_cover_uncolorable():
             started = time.monotonic()
             assert find_coloring(inst, hard_cover_signing(spec)) is None, (i, j, m)
             assert time.monotonic() - started < 60.0, (i, j, m)
+
+
+def test_criterion_2_whole_grid():
+    with criterion(2, "every grid hard cover uncolorable, every grid host critical"):
+        started = time.monotonic()
+        for (i, j), m in itertools.product(PAIR_GRID, M_GRID):
+            inst, spec = flag_path_instance(DefectParams(i, j), m)
+            hard = colorable_all_covers(inst, signings=(hard_cover_signing(spec),))
+            assert not hard.colorable, (i, j, m)
+            verdict = is_critical(inst, Reduced(spec))
+            assert (verdict.verdict, verdict.potential_ok) == (CRITICAL, True), (i, j, m)
+        assert time.monotonic() - started < 30.0
 
 
 def test_criterion_3_criticality_of_single_base_construction():

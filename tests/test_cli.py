@@ -266,7 +266,7 @@ GOLDEN_JSON = [
     (
         ["critical", "--construct", "1,2,1", "--strategy", "reduced"],
         '{"certifying":true,"command":"critical","counters":{"classes":7,'
-        '"edges_checked":3,"nodes_expanded":436,"signings":1},'
+        '"edges_checked":3,"nodes_expanded":95,"signings":1},'
         '"failing_edge":null,'
         '"instance_digest":"c30256ae233fccf5d266a81f4143d88358bfaa4c4ee87001c2a594fb68e9f3c8",'
         '"params":{"i":1,"j":2},"strategy":"reduced","verdict":"critical",'
@@ -279,7 +279,7 @@ GOLDEN_JSON = [
         ["critical", "--construct", "1,2,1", "--strategy", "sampled",
          "--count", "300", "--seed", "17"],
         '{"certifying":false,"command":"critical","counters":{"classes":300,'
-        '"edges_checked":0,"nodes_expanded":20507,"signings":300},'
+        '"edges_checked":0,"nodes_expanded":2320,"signings":300},'
         '"failing_edge":null,'
         '"instance_digest":"c30256ae233fccf5d266a81f4143d88358bfaa4c4ee87001c2a594fb68e9f3c8",'
         '"params":{"i":1,"j":2},"strategy":"sampled","verdict":"colorable",'

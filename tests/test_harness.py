@@ -570,6 +570,16 @@ def test_sampled_phase_one_uses_the_seed_itself():
     )
 
 
+def test_node_counts_do_not_depend_on_earlier_scans_or_workers():
+    # the leaf-block load tables live for one scan, so no count is carried over
+    inst, _ = flag_path_instance(P12, 1)
+    assert sample_covers(inst, 2000, 5) == sample_covers(inst, 2000, 5)
+    one = is_critical(inst, Sampled(1000, 0), workers=1)
+    two = is_critical(inst, Sampled(1000, 0), workers=2)
+    assert one.witness is not None and one.edges_checked == 25
+    assert one == two
+
+
 def test_sampled_edge_deletion_sweep_deterministic():
     inst, _ = flag_path_instance(P12, 1)
     a = sampled_edge_deletion_sweep(inst, count=50, seed=11)

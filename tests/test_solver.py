@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpdefect import (
     PARALLEL,
@@ -21,7 +23,7 @@ from dpdefect import (
     hard_cover_signing,
     sample_covers,
 )
-from dpdefect.solver import sample_signings
+from dpdefect.solver import _plan, sample_signings
 from conftest import (
     build_cover_graph,
     cycle_graph,
@@ -252,3 +254,88 @@ def test_sample_covers_finds_trivial_witness():
     rep = sample_covers(single_vertex(-1, -1), 1, seed=0)
     assert rep.witness == empty_signing()
     assert rep.signings_examined == 1
+
+
+@st.composite
+def instances_with_cut_vertices(draw):
+    """Weighted instances on at most 8 vertices and 10 edges, grown from
+    vertex 0 by hanging small blocks (an edge, a triangle, a 4-cycle with or
+    without a chord) on earlier vertices: pendant paths, trees of blocks and
+    blocks sharing a vertex, plus up to two isolated vertices and caps of -1.
+    Vertices plus edges stay at most 13, so the oracle's 2^(n+m) checks per
+    instance stay affordable."""
+    i = draw(st.integers(0, 2))
+    params = DefectParams(i, draw(st.integers(i, 3)))
+    n, edges = 1, []
+    for _ in range(draw(st.integers(1, 5))):
+        size = draw(st.integers(2, 4))  # the block's vertices, its attachment included
+        at = draw(st.integers(0, n - 1))
+        ring = [at, *range(n, n + size - 1)]
+        block = [(ring[k], ring[(k + 1) % size]) for k in range(size if size > 2 else 1)]
+        if size == 4 and draw(st.booleans()):
+            block.append((ring[0], ring[2]))
+        if n + size - 1 > 8 or len(edges) + len(block) > 10:
+            break
+        if n + size - 1 + len(edges) + len(block) > 13:
+            break
+        n += size - 1
+        edges += block
+    n = min(n + draw(st.integers(0, 2)), 8, 13 - len(edges))
+    caps = draw(
+        st.lists(
+            st.tuples(st.integers(-1, params.i), st.integers(-1, params.j)),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    graph = SimpleGraph.from_edges(n, edges)
+    return WeightedInstance(graph, params, CapacityFunction(tuple(caps)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances_with_cut_vertices())
+def test_scan_agrees_with_oracle_on_graphs_with_cut_vertices(inst):
+    graph = inst.graph
+    lowest = None
+    for bits in range(1 << graph.edge_count()):
+        signing = CoverSigning.from_bits(graph, bits)
+        uncolorable = brute_force_oracle(inst, signing) is None
+        assert (find_coloring(inst, signing) is None) == uncolorable
+        assert colorable_all_covers(inst, signings=(signing,)).colorable != uncolorable
+        if uncolorable and lowest is None:
+            lowest = signing
+    assert colorable_all_covers(inst).witness == lowest
+
+
+def test_plan_tabulates_leaf_blocks_with_under_half_the_edges():
+    inst, _ = flag_path_instance(DefectParams(1, 2), 1)
+    plan = _plan(inst.graph)
+    assert [cut for cut, _, _ in plan.blocks] == [0] * 5  # one per flag
+    assert plan.core.order == (0,)
+    # a 5-edge block and a pendant edge at vertex 3: the block stays in the core
+    graph = SimpleGraph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (0, 3), (3, 4)])
+    plan = _plan(graph)
+    assert [(cut, mask) for cut, mask, _ in plan.blocks] == [(3, 1 << 5)]
+    assert sorted(plan.core.order) == [0, 1, 2, 3]
+    # two triangles joined by a bridge: the bridge has two cut vertices
+    chain = SimpleGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
+    plan = _plan(chain)
+    assert sorted(cut for cut, _, _ in plan.blocks) == [2, 3]
+    assert sorted(plan.core.order) == [2, 3]
+    assert _plan(cycle_graph(3)).blocks == ()
+
+
+def test_sample_covers_matches_a_plain_search_loop():
+    host, _ = flag_path_instance(DefectParams(1, 2), 1)
+    triangle = WeightedInstance.uniform(cycle_graph(3), P00)
+    for inst, count, seed in ((host, 2000, 0), (triangle, 50, 3)):
+        scan = sample_covers(inst, count, seed)
+        examined, witness = 0, None
+        for signs in sample_signings(inst.graph, count, seed):
+            examined += 1
+            signing = CoverSigning(inst.graph.sorted_edges, signs)
+            if find_coloring(inst, signing) is None:
+                witness = signing
+                break
+        assert witness is not None
+        assert (scan.witness, scan.signings_examined) == (witness, examined)
