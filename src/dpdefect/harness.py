@@ -6,7 +6,9 @@ gains from deleting edges, so single-edge deletions cover all proper
 subgraphs once isolated vertices are handled separately (an instance with
 two or more vertices and an isolated vertex is never critical: either that
 vertex alone is uncolorable, or removing it leaves a non-colorable proper
-subgraph with the full edge set).
+subgraph with the full edge set).  Nor, with two or more vertices, is an
+instance with a vertex whose caps are (-1, -1): that vertex alone is a
+non-colorable proper subgraph.
 """
 
 from __future__ import annotations
@@ -532,6 +534,16 @@ class _WeightedTables:
     Phase 2 for G - e uses the endpoint tables with e's conflict taken
     away; they no longer depend on e's sign bit, so each signing of G - e
     appears twice in the fold and the full set still means colorable.
+
+    `criticals` walks the capacity functions as a tree in
+    itertools.product(caps, repeat=n) order: level v fixes vertex v's cap
+    and ANDs its table into its parent's prefix, so a leaf costs one AND,
+    not n.  With n >= 2 two kinds of pair are decided without a walk, and
+    both exactly, since neither can be critical (see the module
+    docstring): every pair of a graph with an isolated vertex, and every
+    pair with a cap (-1, -1), whose vertex alone is a non-colorable proper
+    subgraph.  At n = 1 the only proper subgraph is the empty graph, so
+    both stay in and ((-1, -1),) is critical.
     """
 
     def __init__(self, graph: SimpleGraph, params: DefectParams):
@@ -569,28 +581,37 @@ class _WeightedTables:
             valid |= valid >> s
         return valid & self.full
 
-    def decide(self, caps: tuple[tuple[int, int], ...]) -> tuple[str, int | None]:
-        """The verdict of is_critical(..., Exhaustive()) on these capacities,
-        with the number of the smallest uncolorable signing (None when
-        every signing is colorable)."""
-        vertex = self.vertex
-        valid = self.everything
-        for v in range(self.n):
-            valid &= vertex[v][caps[v]]
-        bad = self.full & ~self._colorable(valid)
-        if not bad:
-            return COLORABLE, None
-        witness = (bad & -bad).bit_length() - 1
-        if self.isolated or (self.n >= 2 and (-1, -1) in caps):
-            # An isolated or (-1, -1) vertex is a non-colorable proper subgraph.
-            return NOT_CRITICAL, witness
-        for (u, table_u), (w, table_w), others in self.edges:
-            valid = table_u[caps[u]] & table_w[caps[w]]
-            for v in others:
-                valid &= vertex[v][caps[v]]
-            if self._colorable(valid) != self.full:
-                return NOT_CRITICAL, witness
-        return CRITICAL, witness
+    def criticals(self) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
+        """The capacity functions under which the graph is critical, each
+        with the number of its smallest uncolorable signing: the pairs on
+        which is_critical(..., Exhaustive()) says CRITICAL, with its
+        witness, in itertools.product(self.caps, repeat=n) order."""
+        n, vertex, full = self.n, self.vertex, self.full
+        if self.isolated or n == 0:  # the empty graph is colorable
+            return
+        caps = [c for c in self.caps if n < 2 or c != (-1, -1)]
+
+        def survives_deletions(chosen: tuple[tuple[int, int], ...]) -> bool:
+            for (u, table_u), (w, table_w), others in self.edges:
+                valid = table_u[chosen[u]] & table_w[chosen[w]]
+                for v in others:
+                    valid &= vertex[v][chosen[v]]
+                if self._colorable(valid) != full:
+                    return False
+            return True
+
+        def walk(level: int, prefix: int, chosen: tuple[tuple[int, int], ...]):
+            table = vertex[level]
+            for c in caps:
+                valid = prefix & table[c]
+                if level + 1 < n:
+                    yield from walk(level + 1, valid, (*chosen, c))
+                    continue
+                bad = full & ~self._colorable(valid)
+                if bad and survives_deletions((*chosen, c)):
+                    yield (*chosen, c), (bad & -bad).bit_length() - 1
+
+        yield from walk(0, self.everything, ())
 
 
 def enumerate_critical(
@@ -612,8 +633,14 @@ def enumerate_critical(
     Weighted mode sweeps every capacity function (n <= 4) and records any
     critical pair whose potential exceeds the i - j - 1 ceiling.  Its
     verdicts come from per-graph defect bitsets, built once per graph from
-    Python ints; each critical pair is cross-checked by the solver, which
-    must fail to color the smallest uncolorable signing the bitsets found.
+    Python ints and read by a walk over the capacity functions in
+    itertools.product order (`_WeightedTables.criticals`).  The walk skips,
+    exactly, the graphs with an isolated vertex and the caps (-1, -1) when
+    n >= 2: no such pair is critical.  `pairs_examined` counts every pair,
+    those skipped included.  Criticals are listed in graphs_up_to_iso
+    order, then in the walk's order, and each is cross-checked by the
+    solver, which must fail to color the smallest uncolorable signing the
+    bitsets found.
     """
     if mode not in (MODE_UNIFORM, MODE_WEIGHTED):
         raise ValueError(f"unknown mode {mode!r}")
@@ -672,11 +699,8 @@ def enumerate_critical(
     else:
         for graph in graphs:
             tables = _WeightedTables(graph, params)
-            for caps in itertools.product(tables.caps, repeat=n):
-                pairs_examined += 1
-                verdict, witness = tables.decide(caps)
-                if verdict != CRITICAL:
-                    continue
+            pairs_examined += len(tables.caps) ** n
+            for caps, witness in tables.criticals():
                 instance = WeightedInstance(graph, params, CapacityFunction(caps))
                 if find_coloring(instance, CoverSigning.from_bits(graph, witness)) is not None:
                     raise RuntimeError("defect bitsets and solver disagree on colorability")

@@ -117,10 +117,9 @@ def _caps(instance: WeightedInstance) -> tuple[tuple[int, ...], tuple[int, ...]]
 
 
 @lru_cache(maxsize=64)
-def _context(instance: WeightedInstance) -> tuple[_SearchContext, tuple[tuple[int, ...], ...]]:
-    """The whole graph's search context, and the instance's caps."""
-    graph = instance.graph
-    return _SearchContext(graph, range(graph.n), range(len(graph.sorted_edges))), _caps(instance)
+def _context(graph: SimpleGraph) -> _SearchContext:
+    """The whole graph's search context, shared by every capacity function."""
+    return _SearchContext(graph, range(graph.n), range(len(graph.sorted_edges)))
 
 
 def _solve(
@@ -194,8 +193,7 @@ def find_coloring(
 ) -> ColoringMap | None:
     """Complete search for a valid map under one signing; None iff none exists."""
     signs = signing.signs_for(instance.graph)
-    ctx, caps = _context(instance)
-    cmap, _ = _solve(ctx, signs, caps)
+    cmap, _ = _solve(_context(instance.graph), signs, _caps(instance))
     if cmap is not None and check_coloring(instance, signing, cmap) is not None:
         raise RuntimeError("internal error: search returned an invalid map")
     return cmap

@@ -316,6 +316,13 @@ GOLDEN_JSON = [
         '"sparsity_violations":0,"verdict":"consistent"}',
     ),
     (
+        ["enumerate", "--i", "1", "--j", "2", "--n", "4", "--mode", "weighted"],
+        '{"bound_min_edges":7,"command":"enumerate","critical_found":6372,'
+        '"graphs_examined":11,"min_edges":3,"mode":"weighted","n":4,'
+        '"pairs_examined":228096,"params":{"i":1,"j":2},"potential_violations":0,'
+        '"sparsity_violations":0,"verdict":"consistent"}',
+    ),
+    (
         ["sparsity", "G121"],
         '{"command":"sparsity",'
         '"instance_digest":"c30256ae233fccf5d266a81f4143d88358bfaa4c4ee87001c2a594fb68e9f3c8",'

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from concurrent.futures import Future
 
@@ -347,6 +349,18 @@ def test_enumerate_weighted_small_counts():
     assert rep3.min_edges == 2 and rep3.bound_satisfied is None
 
 
+def test_enumerate_weighted_n4():
+    rep = enumerate_critical(P12, 4, mode="weighted")
+    assert rep.graphs_examined == 11 and rep.pairs_examined == 228096
+    assert len(rep.criticals) == 6372 and rep.min_edges == 3
+    assert not rep.potential_violations and not rep.sparsity_violations
+    rows = [
+        [[list(e) for e in c.edges], [list(cap) for cap in c.caps], c.rho] for c in rep.criticals
+    ]
+    # in report order: graphs_up_to_iso order, then itertools.product order of the caps
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == "e248b8b6aadf2ed3"
+
+
 def test_enumerate_weighted_guard():
     with pytest.raises(ValueError):
         enumerate_critical(P12, 5, mode="weighted")
@@ -388,44 +402,63 @@ def test_weighted_table_bits_match_a_direct_defect_count(params):
             assert tables.everything == (1 << (1 << (n + m))) - 1
 
 
-def _assert_bitsets_match_solver(graph, params, caps, tables=None):
-    """The bitset decision against is_critical(Exhaustive); returns the verdict."""
-    tables = tables or _WeightedTables(graph, params)
-    verdict, witness = tables.decide(caps)
+def _criticals(graph, params):
+    """The graph's `_WeightedTables.criticals()` as {caps: witness signing},
+    after checking that they come in itertools.product order (the caps
+    list is ascending, so that order is ascending order of the tuples)."""
+    tables = _WeightedTables(graph, params)
+    found = {caps: CoverSigning.from_bits(graph, w) for caps, w in tables.criticals()}
+    assert list(found) == sorted(found)
+    return tables, found
+
+
+def _assert_agrees_with_is_critical(graph, params, caps, found):
+    """Yielded iff is_critical(Exhaustive) says critical, and then with its
+    witness; returns the verdict."""
     slow = is_critical(WeightedInstance(graph, params, CapacityFunction(caps)), Exhaustive())
-    assert verdict == slow.verdict, (graph, params, caps)
-    want = None if slow.witness is None else CoverSigning.from_bits(graph, witness)
-    assert slow.witness == want
+    assert (caps in found) == (slow.verdict == CRITICAL), (graph, params, caps)
+    if caps in found:
+        assert found[caps] == slow.witness, (graph, params, caps)
     return slow
 
 
-def test_bitset_decision_matches_solver_on_every_n3_weighted_pair():
-    seen = {COLORABLE: 0, NOT_CRITICAL: 0, CRITICAL: 0}
-    for graph in graphs_up_to_iso(3):
-        tables = _WeightedTables(graph, P12)
-        for caps in itertools.product(tables.caps, repeat=3):
-            seen[_assert_bitsets_match_solver(graph, P12, caps, tables).verdict] += 1
-    assert sum(seen.values()) == 6912
-    assert seen[CRITICAL] == 493
+def test_weighted_criticals_match_is_critical_on_every_pair_up_to_n3():
+    """Every pair with n <= 3 at (1, 2), including the one-vertex critical
+    ((-1, -1),) and the graphs with an isolated vertex."""
+    seen = {COLORABLE: 0, "isolated": 0, "deletion": 0, CRITICAL: 0}
+    for n in range(4):
+        for graph in graphs_up_to_iso(n):
+            tables, found = _criticals(graph, P12)
+            for caps in itertools.product(tables.caps, repeat=n):
+                slow = _assert_agrees_with_is_critical(graph, P12, caps, found)
+                if slow.failing_vertex is not None:
+                    seen["isolated"] += 1
+                elif slow.failing_edge is not None:
+                    seen["deletion"] += 1
+                else:
+                    seen[slow.verdict] += 1
+    assert sum(seen.values()) == 1 + 12 + 288 + 6912
+    assert seen[CRITICAL] == 1 + 16 + 493
+    assert all(seen.values())
 
 
-def test_bitset_decision_matches_solver_on_random_instances():
-    rng = random.Random(2718)
-    phase2_failures = isolated = 0
-    for _ in range(400):
-        graph = random_graph(rng, rng.randint(1, 4), rng.choice([0.4, 0.6, 0.9]))
-        params = DefectParams(rng.randint(0, 2), rng.randint(2, 4))
-        slow = _assert_bitsets_match_solver(
-            graph, params, random_caps(rng, graph.n, params).pairs
-        )
-        phase2_failures += slow.failing_edge is not None
-        isolated += slow.failing_vertex is not None
-    assert phase2_failures and isolated
+@pytest.mark.parametrize(
+    "params,count", [(P12, 488), (DefectParams(0, 2), 4)], ids=["1-2", "0-2"]
+)
+def test_weighted_criticals_match_is_critical_on_k4(params, count):
+    """Every critical of the densest n=4 graph, and a seeded sample of the
+    rest of its pairs."""
+    k4 = SimpleGraph.from_edges(4, itertools.combinations(range(4), 2))
+    tables, found = _criticals(k4, params)
+    others = [c for c in itertools.product(tables.caps, repeat=4) if c not in found]
+    assert len(found) == count
+    for caps in [*found, *random.Random(2718).sample(others, 300)]:
+        _assert_agrees_with_is_critical(k4, params, caps, found)
 
 
 @st.composite
 def small_weighted_pairs(draw):
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3))
     pairs = list(itertools.combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     edges = [e for e, k in zip(pairs, keep) if k]
@@ -438,8 +471,13 @@ def small_weighted_pairs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(small_weighted_pairs())
-def test_bitset_decision_property(pair):
-    _assert_bitsets_match_solver(*pair)
+def test_weighted_criticals_property(pair):
+    """Every yielded critical of a drawn graph and params, and a drawn pair
+    whether yielded or not."""
+    graph, params, caps = pair
+    _, found = _criticals(graph, params)
+    for critical in [*found, caps]:
+        _assert_agrees_with_is_critical(graph, params, critical, found)
 
 
 def test_weighted_cross_check_rejects_a_colorable_witness(monkeypatch):
