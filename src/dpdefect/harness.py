@@ -766,10 +766,15 @@ def verify_sharpness_suite(
     """For each (i, j) x m: check size identities and that the hard cover
     is uncolorable, decided by `colorable_all_covers` through the flags'
     load tables; optionally certify criticality (reduced strategy) for the
-    listed (i, j, m) triples."""
-    want_critical = set(criticality)
-    entries = []
+    listed (i, j, m) triples.  A triple outside `pairs` x `ms` would never
+    be certified, so it raises ValueError before any work is done."""
+    pairs = tuple((i, j) for i, j in pairs)
     ms = tuple(ms)
+    want_critical = set(criticality)
+    for i, j, m in sorted(want_critical):
+        if (i, j) not in pairs or m not in ms:
+            raise ValueError(f"criticality triple {i},{j},{m} is outside pairs x ms")
+    entries = []
     for (i, j) in pairs:
         params = DefectParams(i, j)
         for m in ms:

@@ -6,8 +6,8 @@ incremental defect counters, capacity pruning) of the whole graph.
 maps through `check_coloring` and deliberately shares no search code with
 it.  `colorable_all_covers` and `sample_covers` feed a stream of signings
 to one loop, `_scan`, and report a `CoverScan`; the loop splits the leaf
-blocks of the block-cut tree off into load tables and searches the rest
-once per signing.
+blocks of the block-cut tree off into tables of packed loads, and searches
+the rest once per distinct key (its loads and its own signs) of a scan.
 """
 
 from __future__ import annotations
@@ -301,14 +301,20 @@ class _Plan:
     other vertices stay within their caps.  The core, the graph minus the
     interiors of the leaf blocks, is colorable with c's caps lowered by
     its blocks' loads iff the graph is, whichever leaf blocks are split
-    off.  A leaf block is split off only when it has fewer edges than the
-    rest of the graph: over all 2^m signings each of its keys then comes
-    up at least four times, while filling a key takes two or more searches
-    of the block.  `blocks` holds (c, mask of the block's edges, search
-    context of the block) per split-off leaf block.
+    off.  So the core's verdict depends on the signing only through the
+    loads and the signing's bits on the core's edges.  A leaf block is
+    split off only when it has fewer edges than the rest of the graph:
+    over all 2^m signings each of its keys then comes up at least four
+    times, while filling a key takes two or more searches of the block.
+    By the same count the core's verdicts are memoised only when the core
+    has fewer edges than the split-off blocks together (`memoise`); the
+    memo then keeps fewer than 2^(m/2) core sign patterns per load vector.
+    `blocks` holds (c, mask of the block's edges, search context of the
+    block) per split-off leaf block, `cuts` (c, number of its split-off
+    blocks) per cut vertex, and `core_mask` masks the core's edges.
     """
 
-    __slots__ = ("core", "blocks")
+    __slots__ = ("core", "blocks", "cuts", "core_mask", "memoise")
 
     def __init__(self, graph: SimpleGraph):
         edges = graph.sorted_edges
@@ -321,6 +327,7 @@ class _Plan:
             for v in vertices:
                 blocks_at[v] += 1
         leaves = []
+        per_cut: dict[int, int] = {}
         interior: set[int] = set()
         leaf_edges: set[int] = set()
         for block, vertices in blocks:
@@ -329,14 +336,17 @@ class _Plan:
                 leaves.append(
                     (cuts[0], sum(1 << k for k in block), _SearchContext(graph, vertices, block))
                 )
+                per_cut[cuts[0]] = per_cut.get(cuts[0], 0) + 1
                 interior |= vertices - {cuts[0]}
                 leaf_edges.update(block)
+        core_edges = [k for k in range(len(edges)) if k not in leaf_edges]
         self.blocks = tuple(leaves)
+        self.cuts = tuple(per_cut.items())
         self.core = _SearchContext(
-            graph,
-            (v for v in range(graph.n) if v not in interior),
-            (k for k in range(len(edges)) if k not in leaf_edges),
+            graph, (v for v in range(graph.n) if v not in interior), core_edges
         )
+        self.core_mask = sum(1 << k for k in core_edges)
+        self.memoise = len(core_edges) < len(leaf_edges)
 
 
 @lru_cache(maxsize=64)
@@ -376,43 +386,77 @@ def _scan(instance: WeightedInstance, signings: Iterable[int]) -> CoverScan:
     """Decide each signing in turn (an int: bit k is the sign of sorted
     edge k) and stop at the first uncolorable one.
 
-    Each signing is decided through the graph's `_Plan`: every leaf block's
-    load is read from a table keyed by the signing's bits on the block's
-    edges, filled by a search of the block the first time a key comes up
-    and kept for this scan only; then the core is searched once, with each
-    cut vertex's caps lowered by its blocks' loads.  `nodes_expanded`
-    counts the core searches and the searches that fill the tables.  A
-    graph with no leaf block to split off is its own core, searched as
-    `find_coloring` searches it.  The worst case is a split-off block so
-    large that its keys never repeat: each of its signings then costs two
-    or more searches of the block instead of one search of the graph.
+    Each signing is decided through the graph's `_Plan`.  Every leaf
+    block's load is read from a table keyed by the signing's bits on the
+    block's edges, filled by a search of the block the first time a key
+    comes up.  A table entry is the load already packed into its cut
+    vertex's field of one int: the poor and then the rich load, each in
+    `width` bits, the bit length of (blocks at that cut vertex) * (j + 1).
+    A load is at most cap + 1 <= j + 1, so the fields cannot overflow, and
+    the sum of a signing's entries is its load vector on the core.  The
+    core's verdict is then looked up under the key (packed loads,
+    signing's bits on the core's edges), exact by `_Plan`'s lemma; only a
+    miss builds the sign tuple (as a block miss does) and the lowered caps
+    and searches the core.  Tables and memo live for this scan only.  The
+    memo holds one bool per distinct key: at most the number of signings
+    examined, and at most 2^(core edges) times the number of load vectors,
+    the product over the cut vertices of (k (j + 1) + 1)^2 for a cut
+    vertex with k blocks.  Without `plan.memoise` the core is searched
+    once per signing, and a graph with no leaf block to split off is its
+    own core, searched as `find_coloring` searches it.  `nodes_expanded`
+    counts the searches actually run: the core searches plus the searches
+    that fill the tables.  The worst case is a split-off block so large
+    that its keys never repeat: each of its signings then costs two or
+    more searches of the block instead of one search of the graph.
     """
     graph = instance.graph
     m = len(graph.sorted_edges)
     plan = _plan(graph)
     core = plan.core
+    core_mask = plan.core_mask
     cap0, cap1 = _caps(instance)
-    tables: list[dict[int, tuple[int, int]]] = [{} for _ in plan.blocks]
+    fields: dict[int, tuple[int, int]] = {}  # cut vertex -> (shift, width)
+    shift = 0
+    for cut, count in plan.cuts:
+        width = (count * (instance.params.j + 1)).bit_length()
+        fields[cut] = (shift, width)
+        shift += 2 * width
+    blocks = [(mask, {}, (cut, ctx) + fields[cut]) for cut, mask, ctx in plan.blocks]
+    memo: dict[int, bool] | None = {} if plan.memoise else None
     examined = 0
     nodes_total = 0
     for bits in signings:
         examined += 1
-        signs = _sign_tuple(bits, m)
-        caps = (cap0, cap1)
-        if tables:
-            caps = (list(cap0), list(cap1))
-            for (cut, mask, ctx), table in zip(plan.blocks, tables):
-                key = bits & mask
-                load = table.get(key)
-                if load is None:
-                    load, nodes = _block_load(ctx, cut, signs, cap0, cap1)
-                    nodes_total += nodes
-                    table[key] = load
-                caps[0][cut] -= load[0]
-                caps[1][cut] -= load[1]
-        cmap, nodes = _solve(core, signs, caps)
-        nodes_total += nodes
-        if cmap is None:
+        signs = None
+        packed = 0
+        for mask, table, block in blocks:
+            load = table.get(bits & mask)
+            if load is None:
+                if signs is None:
+                    signs = _sign_tuple(bits, m)
+                cut, ctx, shift, width = block
+                (poor, rich), nodes = _block_load(ctx, cut, signs, cap0, cap1)
+                nodes_total += nodes
+                load = table[bits & mask] = (poor << shift) | (rich << (shift + width))
+            packed += load
+        key = (packed << m) | (bits & core_mask)
+        colorable = memo.get(key) if memo is not None else None
+        if colorable is None:
+            if signs is None:
+                signs = _sign_tuple(bits, m)
+            caps = (cap0, cap1)
+            if fields:
+                caps = (list(cap0), list(cap1))
+                for cut, (shift, width) in fields.items():
+                    low = (1 << width) - 1
+                    caps[0][cut] -= (packed >> shift) & low
+                    caps[1][cut] -= (packed >> (shift + width)) & low
+            cmap, nodes = _solve(core, signs, caps)
+            nodes_total += nodes
+            colorable = cmap is not None
+            if memo is not None:
+                memo[key] = colorable
+        if not colorable:
             return CoverScan(CoverSigning.from_bits(graph, bits), examined, nodes_total)
     return CoverScan(None, examined, nodes_total)
 
@@ -430,9 +474,11 @@ def colorable_all_covers(
     ValueError.  A caller may instead supply its own stream, such as one
     representative signing per symmetry class or a single signing to
     cross-check; soundness is then the caller's contract.  Each signing is
-    decided exactly by `_scan`, through leaf-block load tables and one
-    search of the core, so the witness and `signings_examined` are those
-    of a whole-graph search per signing; only `nodes_expanded` differs.
+    decided exactly by `_scan`, through tables of packed leaf-block loads
+    and a search of the core (memoised per scan under its loads and its
+    own signs when the core is the smaller part), so the witness and
+    `signings_examined` are those of a whole-graph search per signing.
+    Only `nodes_expanded` differs: it counts the searches actually run.
     """
     graph = instance.graph
     if signings is None:
@@ -465,9 +511,12 @@ def sample_covers(instance: WeightedInstance, count: int, seed: int | str) -> Co
     """Seeded random smoke test over the cover space: `_scan` over the
     `count` signings that `sample_signings` draws, fed to it as ints.
 
-    Identical (instance, count, seed) always produces the identical result:
-    the load tables live for one scan only, so even `nodes_expanded` does
-    not depend on earlier calls.
+    Where `_scan` memoises the core, a repeated signing, or one that
+    repeats another's leaf-block loads and core signs, costs no search, and
+    `nodes_expanded` counts only the searches run.  Identical
+    (instance, count, seed) always produces the identical result: the
+    tables and the memo live for one scan only, so even `nodes_expanded`
+    does not depend on earlier calls.
     """
     if count < 1:
         raise ValueError("count must be >= 1")

@@ -200,6 +200,15 @@ def test_verify_default(capsys):
     assert "all checks pass" in stdout
 
 
+@pytest.mark.parametrize("crit", ["1,3,1", "1,2,2", "1,2,1;2,4,1"])
+def test_verify_rejects_criticality_outside_the_grid(capsys, crit):
+    code, stdout, err = run(
+        capsys, ["verify", "--pairs", "1,2", "--ms", "1", "--criticality", crit]
+    )
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and crit.split(";")[-1] in err
+
+
 def test_json_runs_byte_identical(capsys):
     argv = ["critical", "--construct", "1,2,1", "--strategy", "sampled",
             "--count", "60", "--seed", "7", "--json"]
@@ -250,7 +259,8 @@ def test_bad_integer_fields_are_input_errors(tmp_path, capsys, body):
 
 # Exact --json stdout of fixed commands.  C3 is the triangle at (0, 0) and
 # G121 the (1,2,1) flag-path host, both unsigned.  Under `reduced`,
-# nodes_expanded counts the search nodes of the witness cross-check.
+# nodes_expanded counts the search nodes of the witness cross-check; under
+# `sampled`, those of the searches the scan ran (a repeated key costs none).
 GOLDEN_JSON = [
     (
         ["verify", "--pairs", "1,2;1,3", "--ms", "1,2"],
@@ -279,7 +289,7 @@ GOLDEN_JSON = [
         ["critical", "--construct", "1,2,1", "--strategy", "sampled",
          "--count", "300", "--seed", "17"],
         '{"certifying":false,"command":"critical","counters":{"classes":300,'
-        '"edges_checked":0,"nodes_expanded":2320,"signings":300},'
+        '"edges_checked":0,"nodes_expanded":2032,"signings":300},'
         '"failing_edge":null,'
         '"instance_digest":"c30256ae233fccf5d266a81f4143d88358bfaa4c4ee87001c2a594fb68e9f3c8",'
         '"params":{"i":1,"j":2},"strategy":"sampled","verdict":"colorable",'

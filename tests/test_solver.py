@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from dpdefect import (
@@ -23,9 +23,10 @@ from dpdefect import (
     hard_cover_signing,
     sample_covers,
 )
-from dpdefect.solver import _plan, sample_signings
+from dpdefect.solver import _as_bits, _block_load, _plan, sample_signings
 from conftest import (
     build_cover_graph,
+    complete_graph,
     cycle_graph,
     k2,
     random_graph,
@@ -257,18 +258,21 @@ def test_sample_covers_finds_trivial_witness():
 
 
 @st.composite
-def instances_with_cut_vertices(draw):
+def instances_with_cut_vertices(draw, max_block=4):
     """Weighted instances on at most 8 vertices and 10 edges, grown from
-    vertex 0 by hanging small blocks (an edge, a triangle, a 4-cycle with or
-    without a chord) on earlier vertices: pendant paths, trees of blocks and
-    blocks sharing a vertex, plus up to two isolated vertices and caps of -1.
+    vertex 0 by hanging up to five small blocks (an edge, a triangle, a
+    4-cycle with or without a chord; at most `max_block` vertices each) on
+    earlier vertices: pendant paths, trees of blocks and blocks sharing a
+    vertex, plus up to two isolated vertices and caps of -1.
     Vertices plus edges stay at most 13, so the oracle's 2^(n+m) checks per
-    instance stay affordable."""
+    instance stay affordable.  A drawn set of vertices gets the top caps
+    (i, j), so a cut vertex can carry a load of cap + 1 = j + 1 from each
+    of its blocks."""
     i = draw(st.integers(0, 2))
     params = DefectParams(i, draw(st.integers(i, 3)))
     n, edges = 1, []
     for _ in range(draw(st.integers(1, 5))):
-        size = draw(st.integers(2, 4))  # the block's vertices, its attachment included
+        size = draw(st.integers(2, max_block))  # the block's vertices, its attachment included
         at = draw(st.integers(0, n - 1))
         ring = [at, *range(n, n + size - 1)]
         block = [(ring[k], ring[(k + 1) % size]) for k in range(size if size > 2 else 1)]
@@ -288,6 +292,8 @@ def instances_with_cut_vertices(draw):
             max_size=n,
         )
     )
+    for v in draw(st.sets(st.integers(0, n - 1))):
+        caps[v] = (params.i, params.j)
     graph = SimpleGraph.from_edges(n, edges)
     return WeightedInstance(graph, params, CapacityFunction(tuple(caps)))
 
@@ -312,17 +318,22 @@ def test_plan_tabulates_leaf_blocks_with_under_half_the_edges():
     plan = _plan(inst.graph)
     assert [cut for cut, _, _ in plan.blocks] == [0] * 5  # one per flag
     assert plan.core.order == (0,)
-    # a 5-edge block and a pendant edge at vertex 3: the block stays in the core
+    assert (plan.core_mask, plan.memoise) == (0, True)
+    # a 5-edge block and a pendant edge at vertex 3: the block stays in the
+    # core, which has more edges than the pendant, so its verdicts are not memoised
     graph = SimpleGraph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (0, 3), (3, 4)])
     plan = _plan(graph)
     assert [(cut, mask) for cut, mask, _ in plan.blocks] == [(3, 1 << 5)]
     assert sorted(plan.core.order) == [0, 1, 2, 3]
+    assert (plan.core_mask, plan.memoise) == ((1 << 5) - 1, False)
     # two triangles joined by a bridge: the bridge has two cut vertices
     chain = SimpleGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
     plan = _plan(chain)
     assert sorted(cut for cut, _, _ in plan.blocks) == [2, 3]
     assert sorted(plan.core.order) == [2, 3]
-    assert _plan(cycle_graph(3)).blocks == ()
+    assert (plan.core_mask, plan.memoise) == (1 << chain.edge_index[(2, 3)], True)
+    plan = _plan(cycle_graph(3))
+    assert (plan.blocks, plan.core_mask, plan.memoise) == ((), 7, False)
 
 
 def test_sample_covers_matches_a_plain_search_loop():
@@ -339,3 +350,110 @@ def test_sample_covers_matches_a_plain_search_loop():
                 break
         assert witness is not None
         assert (scan.witness, scan.signings_examined) == (witness, examined)
+
+
+def plain_search_loop(inst, stream):
+    """The witness and signings examined of one find_coloring per signing."""
+    examined = 0
+    for bits in stream:
+        examined += 1
+        signing = CoverSigning.from_bits(inst.graph, bits)
+        if find_coloring(inst, signing) is None:
+            return signing, examined
+    return None, examined
+
+
+def scan_stream(inst, stream):
+    return colorable_all_covers(
+        inst, signings=[CoverSigning.from_bits(inst.graph, bits) for bits in stream]
+    )
+
+
+# About 30 % of these graphs have a core with fewer edges than their leaf
+# blocks, so that `_scan` memoises the core; the filter keeps only those.
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(instances_with_cut_vertices(max_block=3), st.data())
+def test_scan_of_a_repeating_stream_matches_a_plain_search_loop(inst, data):
+    assume(_plan(inst.graph).memoise)
+    # a signing and some of its one-edge flips: they share the keys of all
+    # but one leaf block or of the core, so a memo key missing a part shows.
+    # Colorable ones lead, so their memo entries are in place when the
+    # uncolorable ones come up.
+    m = inst.graph.edge_count()
+    base = data.draw(st.integers(0, (1 << m) - 1))
+    flips = data.draw(st.lists(st.integers(0, m - 1), max_size=5))
+    pool = [base] + [base ^ (1 << k) for k in flips]
+    colorable = [b for b in pool if find_coloring(inst, CoverSigning.from_bits(inst.graph, b))]
+    stream = data.draw(st.lists(st.sampled_from(colorable), max_size=20)) if colorable else []
+    stream += data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20))
+    scan = scan_stream(inst, stream)
+    assert (scan.witness, scan.signings_examined) == plain_search_loop(inst, stream)
+
+
+# Triangles 0-1-2 and 3-4-5 joined by the bridge 2-3, with a pendant edge at
+# each end of the bridge: two cut vertices with two leaf blocks each, and a
+# one-edge core whose sign the core memo must see.
+TWO_CUTS = SimpleGraph.from_edges(
+    8, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5), (2, 6), (3, 7)]
+)
+
+
+def test_core_memo_matches_a_plain_search_loop_at_two_cut_vertices():
+    graph = TWO_CUTS
+    plan = _plan(graph)
+    assert sorted(plan.cuts) == [(2, 2), (3, 2)] and plan.memoise
+    rng = random.Random(2024)
+    params = DefectParams(1, 2)
+    full_loads = 0
+    for _ in range(12):
+        caps = [(rng.randint(-1, 1), rng.randint(-1, 2)) for _ in range(graph.n)]
+        caps[2] = caps[3] = (1, 2)  # cut vertices at the top of their range
+        inst = WeightedInstance(graph, params, CapacityFunction(tuple(caps)))
+        cap0, cap1 = zip(*caps)
+        colorable, uncolorable = [], []
+        for bits in range(1 << graph.edge_count()):
+            signing = CoverSigning.from_bits(graph, bits)
+            (uncolorable if find_coloring(inst, signing) is None else colorable).append(bits)
+            for cut, _, ctx in plan.blocks:
+                loads, _ = _block_load(ctx, cut, signing.signs, cap0, cap1)
+                full_loads += loads == (2, 3)
+        stream = colorable + colorable[::-1]
+        assert scan_stream(inst, stream).witness is None
+        for bits in uncolorable[:: max(1, len(uncolorable) // 6)]:
+            scan = scan_stream(inst, colorable + [bits])
+            assert (scan.witness, scan.signings_examined) == plain_search_loop(
+                inst, colorable + [bits]
+            )
+    assert full_loads  # some block puts cap + 1 on both choices of its cut vertex
+
+
+def test_a_repeated_signing_costs_the_nodes_of_one_search():
+    host, spec = flag_path_instance(DefectParams(1, 2), 1)
+    chain = WeightedInstance.uniform(TWO_CUTS, DefectParams(1, 2))
+    hard = _as_bits(host.graph, hard_cover_signing(spec))
+    for inst, bits in ((host, 0), (host, 1234567), (host, hard), (chain, 0), (chain, 300)):
+        assert _plan(inst.graph).memoise
+        once = scan_stream(inst, [bits])
+        again = scan_stream(inst, [bits] * 5)
+        assert again.nodes_expanded == once.nodes_expanded > 0
+        assert again.signings_examined == (1 if once.witness else 5)
+        assert again.witness == once.witness
+
+
+def test_graphs_without_a_split_off_block_search_every_signing():
+    # one whole-graph search per signing, as `find_coloring` runs it
+    triangle = WeightedInstance.uniform(cycle_graph(3), DefectParams(1, 2))
+    k4 = WeightedInstance.uniform(complete_graph(4), DefectParams(1, 2))
+    assert _plan(triangle.graph).blocks == () == _plan(k4.graph).blocks
+    cases = [
+        (colorable_all_covers(WeightedInstance.uniform(cycle_graph(3), P00)), 1, 10),
+        (colorable_all_covers(triangle), 8, 33),
+        (colorable_all_covers(k4), 64, 440),
+        (sample_covers(triangle, 200, 5), 200, 827),
+        (sample_covers(k4, 200, 5), 200, 1348),
+    ]
+    for scan, examined, nodes in cases:
+        assert (scan.signings_examined, scan.nodes_expanded) == (examined, nodes)
+    # with no memo, a repeated signing is searched again
+    once = scan_stream(k4, [5])
+    assert scan_stream(k4, [5] * 3).nodes_expanded == 3 * once.nodes_expanded
