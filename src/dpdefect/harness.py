@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -136,6 +135,8 @@ def _deleted_edge_results(work: list, workers: int) -> Iterator[tuple]:
     if pool_size <= 1:
         yield from map(_check_deleted_edge, work)
         return
+    from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
     with ProcessPoolExecutor(max_workers=pool_size) as pool:
         futures = [pool.submit(_check_deleted_edge, item) for item in work]
         try:
@@ -355,84 +356,119 @@ def is_critical(
 # Small-graph enumeration up to isomorphism
 # ---------------------------------------------------------------------------
 
+_MAX_ISO_N = 7  # 1,044 classes; n = 8 has 12,346
+
+
 def _vertex_pairs(n: int) -> list[Edge]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-def _degree_class_perms(degrees: list[int]) -> Iterator[tuple[int, ...]]:
-    """Permutations placing vertices in non-increasing degree order, with all
-    interleavings inside equal-degree classes."""
-    n = len(degrees)
-    by_degree: dict[int, list[int]] = {}
-    for v in range(n):
-        by_degree.setdefault(degrees[v], []).append(v)
-    groups = [by_degree[d] for d in sorted(by_degree, reverse=True)]
-    for arrangement in itertools.product(
-        *(itertools.permutations(g) for g in groups)
-    ):
-        flat = [v for group in arrangement for v in group]
-        perm = [0] * n  # perm[v] = new label of v
-        for new, old in enumerate(flat):
-            perm[old] = new
-        yield tuple(perm)
+def _canonical_form(
+    n: int, mask: int, pairs: list[Edge], pair_idx: dict[Edge, int]
+) -> tuple[int, list[tuple[int, ...]]]:
+    """A graph's canonical mask and the automorphisms of the canonical graph.
+
+    The canonical mask is the smallest mask over the relabellings that sort
+    the vertices by non-increasing degree.  Pair (a, b) has a larger bit
+    than every pair (a', b') with a' < a, so the labels are chosen from n - 1
+    down to 0: choosing label a fixes row a (the bits of the pairs (a, b),
+    b > a), and a branch whose row exceeds the smallest row found at that
+    label so far is cut.  The search keeps every relabelling that reaches
+    the minimum.  An automorphism of the canonical graph keeps degrees, so
+    the minimisers are exactly the automorphisms composed with any one of
+    them, the first: a minimiser that puts vertex w at label l gives the
+    automorphism sending l to the first minimiser's label of w, and the
+    minimisers give every automorphism once.
+    """
+    adjacent = [0] * n
+    for k, (u, v) in enumerate(pairs):
+        if (mask >> k) & 1:
+            adjacent[u] |= 1 << v
+            adjacent[v] |= 1 << u
+    degrees = [a.bit_count() for a in adjacent]
+    candidates = [
+        [v for v in range(n) if degrees[v] == d] for d in sorted(degrees, reverse=True)
+    ]
+    at = [0] * n  # at[label] = vertex
+    best = [-1] * n  # best[label] = the smallest row at label so far
+    minimisers: list[tuple[int, ...]] = []
+
+    def descend(label: int, used: int) -> None:
+        if label < 0:
+            minimisers.append(tuple(at))
+            return
+        for v in candidates[label]:
+            if (used >> v) & 1:
+                continue
+            row, neighbours = 0, adjacent[v]
+            for b in range(n - 1, label, -1):
+                row = (row << 1) | ((neighbours >> at[b]) & 1)
+            if row > best[label] >= 0:
+                continue
+            if row < best[label]:
+                best[:label] = [-1] * label
+                minimisers.clear()
+            best[label] = row
+            at[label] = v
+            descend(label - 1, used | (1 << v))
+
+    descend(n - 1, 0)
+    canonical = sum(best[a] << pair_idx[(a, a + 1)] for a in range(n - 1))
+    tau = [0] * n
+    for label, v in enumerate(minimisers[0]):
+        tau[v] = label
+    return canonical, [tuple(tau[v] for v in at) for at in minimisers]
 
 
-def _canonical_mask(n: int, mask: int, pairs: list[Edge], pair_idx: dict[Edge, int]) -> int:
-    if mask == 0:
-        return 0
-    degrees = [0] * n
-    bits = []
-    m = mask
-    while m:
-        k = (m & -m).bit_length() - 1
-        bits.append(k)
-        u, v = pairs[k]
-        degrees[u] += 1
-        degrees[v] += 1
-        m &= m - 1
-    best = None
-    for perm in _degree_class_perms(degrees):
-        out = 0
-        for k in bits:
-            u, v = pairs[k]
-            pu, pv = perm[u], perm[v]
-            out |= 1 << pair_idx[(pu, pv) if pu < pv else (pv, pu)]
-        if best is None or out < best:
-            best = out
-    return best
+def _iso_levels(
+    n: int, max_n: int = _MAX_ISO_N
+) -> Iterator[dict[int, tuple[set[int], list]]]:
+    """The isomorphism classes of graphs on n vertices, one edge count at a
+    time: for k = 0, 1, ..., C(n, 2), a dict from each canonical mask with k
+    edges (`_canonical_form`) to (its parents, the automorphisms of its
+    canonical graph).  The parents are canonical masks with k - 1 edges.
 
-
-def graphs_up_to_iso(n: int, max_n: int = 6) -> list[SimpleGraph]:
-    """All graphs on n vertices up to isomorphism, in ascending order of
-    their canonical adjacency masks.
-
-    A graph's canonical mask is the smallest mask over the relabellings
-    that sort its vertices by non-increasing degree, and its representative
-    has exactly those edges.  No scan over all 2^C(n,2) masks: the classes
-    are grown one edge at a time by augmentation (McKay, "Isomorph-free
-    exhaustive generation", 1998).  Every graph with k + 1 edges is a graph
-    with k edges plus one non-edge, so the canonical masks of each
-    k-edge representative plus each of its non-edges are every class with
-    k + 1 edges.
+    The classes grow by augmentation (McKay, "Isomorph-free exhaustive
+    generation", 1998): every graph with k + 1 edges is a graph with k
+    edges plus one non-edge.  Non-edges in one orbit of the automorphism
+    group give isomorphic children, so only one per orbit is
+    canonicalised.  Each child records the class it grew from, and since
+    every (G - e, e) step is taken up to isomorphism, a class's parents are
+    exactly the canonical masks of its G - e.
     """
     if n > max_n:
         raise ValueError(f"isomorphism enumeration ceiling exceeded: n={n} > {max_n}")
     pairs = _vertex_pairs(n)
     pair_idx = {e: k for k, e in enumerate(pairs)}
-    level = {0}
-    found = {0}
-    for _ in pairs:
-        level = {
-            _canonical_mask(n, mask | (1 << k), pairs, pair_idx)
-            for mask in level
-            for k in range(len(pairs))
-            if not (mask >> k) & 1
-        }
-        found |= level
-    return [
-        SimpleGraph.from_edges(n, [pairs[k] for k in range(len(pairs)) if (c >> k) & 1])
-        for c in sorted(found)
-    ]
+    _, automorphisms = _canonical_form(n, 0, pairs, pair_idx)
+    level = {0: (set(), automorphisms)}
+    while level:
+        yield level
+        grown: dict[int, tuple[set[int], list]] = {}
+        for mask, (_, automorphisms) in level.items():
+            seen = mask
+            for k, (u, v) in enumerate(pairs):
+                if (seen >> k) & 1:
+                    continue
+                for alpha in automorphisms:
+                    pu, pv = alpha[u], alpha[v]
+                    seen |= 1 << pair_idx[(pu, pv) if pu < pv else (pv, pu)]
+                child, child_automorphisms = _canonical_form(n, mask | (1 << k), pairs, pair_idx)
+                grown.setdefault(child, (set(), child_automorphisms))[0].add(mask)
+        level = grown
+
+
+def _graph_of(n: int, mask: int, pairs: list[Edge]) -> SimpleGraph:
+    return SimpleGraph.from_edges(n, [pairs[k] for k in range(len(pairs)) if (mask >> k) & 1])
+
+
+def graphs_up_to_iso(n: int, max_n: int = _MAX_ISO_N) -> list[SimpleGraph]:
+    """All graphs on n vertices up to isomorphism, in ascending order of
+    their canonical adjacency masks (`_canonical_form`), each with exactly
+    the edges of its canonical mask; grown by `_iso_levels`."""
+    pairs = _vertex_pairs(n)
+    masks = sorted(mask for level in _iso_levels(n, max_n) for mask in level)
+    return [_graph_of(n, mask, pairs) for mask in masks]
 
 
 # ---------------------------------------------------------------------------
@@ -477,14 +513,15 @@ def _bit_pattern(t: int, width: int) -> int:
     return pattern
 
 
-def _at_most(conflicts: list[int], top: int, everything: int) -> list[int]:
-    """Entry c + 1: the bits at which at most c of `conflicts` hold, for
-    c = -1..top (an at-least-t count over the sets, then complemented)."""
+def _at_least(conflicts: list[int], top: int, everything: int) -> list[int]:
+    """Entry t: the bits at which at least t of `conflicts` hold, for
+    t = 0..top + 1.  A cap c is kept exactly off entry c + 1, and entry 0
+    is `everything`, so cap -1 is never kept."""
     at_least = [everything] + [0] * (top + 1)
     for conflict in conflicts:
         for t in range(top + 1, 0, -1):
             at_least[t] |= at_least[t - 1] & conflict
-    return [0] + [everything ^ a for a in at_least[1:]]
+    return at_least
 
 
 def _uncolorable_signings(instance: WeightedInstance) -> int:
@@ -493,33 +530,42 @@ def _uncolorable_signings(instance: WeightedInstance) -> int:
     signing in binary-counter order.
 
     Under map x, edge k = (u, w) conflicts exactly at the signings whose
-    bit k equals x_u XOR x_w.  For each map the signings where every vertex
-    stays within its cap are ANDed vertex by vertex and ORed into the
-    colorable set.  A map stops as soon as it can add no new signing, and
-    the scan stops once every signing is colorable.
+    bit k equals x_u XOR x_w.  That does not change when every choice
+    flips, so map x and its complement share their conflict sets, and one
+    at-least count per vertex serves both, each map reading it at its own
+    cap.  The walk takes the 2^(n-1) maps with x_0 = 0 together with their
+    complements.  For each map the signings where every vertex stays
+    within its cap are ANDed vertex by vertex and taken out of the
+    uncolorable set.  A pair stops as soon as neither map can take out a
+    signing, and the scan stops once no signing is left.
     """
     graph = instance.graph
-    n, m = graph.n, len(graph.sorted_edges)
-    full = (1 << (1 << m)) - 1
-    sign = [_bit_pattern(k, m) for k in range(m)]
-    incident = [[k for k, e in enumerate(graph.sorted_edges) if v in e] for v in range(n)]
-    caps = instance.caps
-    colorable = 0
-    for x in range(1 << n):
+    n, edges = graph.n, graph.sorted_edges
+    full = (1 << (1 << len(edges))) - 1
+    sign = [_bit_pattern(k, len(edges)) for k in range(len(edges))]
+    unsigned = [full ^ s for s in sign]
+    incident = [[k for k, e in enumerate(edges) if v in e] for v in range(n)]
+    caps = instance.caps.pairs
+    uncolorable = full
+    for x in range(0, 1 << n, 2):
         conflict = [
-            sign[k] if ((x >> u) ^ (x >> w)) & 1 else full ^ sign[k]
-            for k, (u, w) in enumerate(graph.sorted_edges)
+            sign[k] if ((x >> u) ^ (x >> w)) & 1 else unsigned[k]
+            for k, (u, w) in enumerate(edges)
         ]
-        valid = full
+        valid = valid_complement = full
         for v in range(n):
-            cap = caps[v][(x >> v) & 1]
-            valid &= _at_most([conflict[k] for k in incident[v]], cap, full)[cap + 1]
-            if not valid & ~colorable:
+            cap, cap_complement = caps[v][::-1] if (x >> v) & 1 else caps[v]
+            at_least = _at_least(
+                [conflict[k] for k in incident[v]], max(cap, cap_complement), full
+            )
+            valid &= ~at_least[cap + 1]
+            valid_complement &= ~at_least[cap_complement + 1]
+            if not (valid | valid_complement) & uncolorable:
                 break
-        colorable |= valid
-        if colorable == full:
+        uncolorable &= ~(valid | valid_complement)
+        if not uncolorable:
             break
-    return full & ~colorable
+    return uncolorable
 
 
 class _WeightedTables:
@@ -559,7 +605,8 @@ class _WeightedTables:
         incident = [[k for k, e in enumerate(graph.sorted_edges) if v in e] for v in range(n)]
 
         def table(v: int, skip: int | None = None) -> dict[tuple[int, int], int]:
-            at_most = _at_most([conflict[k] for k in incident[v] if k != skip], top, everything)
+            at_least = _at_least([conflict[k] for k in incident[v] if k != skip], top, everything)
+            at_most = [everything ^ a for a in at_least]
             poor = everything ^ rich[v]
             return {c: poor & at_most[c[0] + 1] | rich[v] & at_most[c[1] + 1] for c in caps}
 
@@ -623,13 +670,15 @@ def enumerate_critical(
     the claimed parameter range, the minimum-edge bound and that no sparse
     graph turns out non-colorable.  Each graph's uncolorable signings come
     from per-map signing bitsets (`_uncolorable_signings`), with no solver
-    call.  The graphs are decided in increasing edge count, so each G - e
-    is, up to isomorphism, a graph already decided, found by its canonical
-    mask.  An uncolorable G is critical iff (with n >= 2) it has no
-    isolated vertex and every G - e is colorable.  Each critical is
-    cross-checked by the solver, which must fail to color the smallest
-    uncolorable signing the bitsets found.  Criticals and sparsity
-    violations are listed in graphs_up_to_iso order.
+    call.  The graphs are decided one edge count at a time as `_iso_levels`
+    grows them, and each arrives with its recorded parents, the classes of
+    its G - e, all decided already.  A graph with an uncolorable parent is
+    uncolorable and not critical (deleting an edge never makes a signing
+    harder to color), so it needs no bitset.  Otherwise every G - e is
+    colorable, and an uncolorable G is critical iff (with n >= 2) it has no
+    isolated vertex.  Each critical is cross-checked by the solver, which
+    must fail to color the smallest uncolorable signing the bitsets found.
+    Criticals and sparsity violations are listed in graphs_up_to_iso order.
     Weighted mode sweeps every capacity function (n <= 4) and records any
     critical pair whose potential exceeds the i - j - 1 ceiling.  Its
     verdicts come from per-graph defect bitsets, built once per graph from
@@ -651,37 +700,35 @@ def enumerate_critical(
     bound_min_edges = -(-((2 * i + 1) * n + j - i + 1) // (i + 1))
     ceiling = i - j - 1
 
-    graphs = graphs_up_to_iso(n)
     criticals: list[CriticalEntry] = []
     sparsity_violations: list[CriticalEntry] = []
     pairs_examined = 0
 
     if mode == MODE_UNIFORM:
-        pairs_examined = len(graphs)
         pairs = _vertex_pairs(n)
-        pair_idx = {e: k for k, e in enumerate(pairs)}
-        masks = [sum(1 << pair_idx[e] for e in graph.edges) for graph in graphs]
+        graphs_by_mask: dict[int, SimpleGraph] = {}
         uncolorable: set[int] = set()
         critical: set[int] = set()
-        # In increasing edge count, so the canonical mask of every G - e is
-        # already decided.
-        for graph, mask in sorted(zip(graphs, masks), key=lambda gm: gm[0].edge_count()):
-            instance = WeightedInstance.uniform(graph, params)
-            bad = _uncolorable_signings(instance)
-            if not bad:
-                continue
-            uncolorable.add(mask)
-            if (n >= 2 and any(graph.degree(v) == 0 for v in range(n))) or any(
-                _canonical_mask(n, mask ^ (1 << b), pairs, pair_idx) in uncolorable
-                for b in range(len(pairs))
-                if (mask >> b) & 1
-            ):
-                continue
-            witness = CoverSigning.from_bits(graph, (bad & -bad).bit_length() - 1)
-            if find_coloring(instance, witness) is not None:
-                raise RuntimeError("signing bitsets and solver disagree on colorability")
-            critical.add(mask)
-        for graph, mask in zip(graphs, masks):
+        # Level by level, so every parent is decided before its children.
+        for level in _iso_levels(n):
+            for mask, (parents, _) in level.items():
+                graph = graphs_by_mask[mask] = _graph_of(n, mask, pairs)
+                if not uncolorable.isdisjoint(parents):
+                    uncolorable.add(mask)  # it contains an uncolorable G - e
+                    continue
+                instance = WeightedInstance.uniform(graph, params)
+                bad = _uncolorable_signings(instance)
+                if not bad:
+                    continue
+                uncolorable.add(mask)
+                if n >= 2 and any(graph.degree(v) == 0 for v in range(n)):
+                    continue
+                witness = CoverSigning.from_bits(graph, (bad & -bad).bit_length() - 1)
+                if find_coloring(instance, witness) is not None:
+                    raise RuntimeError("signing bitsets and solver disagree on colorability")
+                critical.add(mask)
+        graphs_examined = pairs_examined = len(graphs_by_mask)
+        for mask, graph in sorted(graphs_by_mask.items()):
             sparse_bad = (
                 in_guaranteed_range(params)
                 and mask in uncolorable
@@ -697,6 +744,8 @@ def enumerate_critical(
             if mask in critical:
                 criticals.append(entry)
     else:
+        graphs = graphs_up_to_iso(n)
+        graphs_examined = len(graphs)
         for graph in graphs:
             tables = _WeightedTables(graph, params)
             pairs_examined += len(tables.caps) ** n
@@ -715,7 +764,7 @@ def enumerate_critical(
         params=params,
         n=n,
         mode=mode,
-        graphs_examined=len(graphs),
+        graphs_examined=graphs_examined,
         pairs_examined=pairs_examined,
         criticals=tuple(criticals),
         min_edges=min_edges,

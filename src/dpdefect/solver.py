@@ -12,6 +12,7 @@ the rest once per distinct key (its loads and its own signs) of a scan.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -493,9 +494,8 @@ def colorable_all_covers(
 
 
 def _sample_bits(m: int, count: int, seed: int | str) -> Iterator[int]:
-    rng = random.Random(seed)
-    for _ in range(count):
-        yield rng.getrandbits(m) if m else 0
+    """`count` draws of m random bits from random.Random(seed)."""
+    return map(random.Random(seed).getrandbits, itertools.repeat(m, count))
 
 
 def sample_signings(

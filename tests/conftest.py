@@ -15,7 +15,7 @@ from dpdefect import (
     SimpleGraph,
     WeightedInstance,
 )
-from dpdefect.harness import _canonical_mask, _vertex_pairs
+from dpdefect.harness import _canonical_form, _vertex_pairs
 
 Edge = tuple[int, int]
 
@@ -130,7 +130,7 @@ def graphs_by_mask_scan(n: int) -> list[SimpleGraph]:
     reps = []
     seen: set[int] = set()
     for mask in range(1 << len(pairs)):
-        c = _canonical_mask(n, mask, pairs, pair_idx)
+        c = _canonical_form(n, mask, pairs, pair_idx)[0]
         if c not in seen:
             seen.add(c)
             reps.append(

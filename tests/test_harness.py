@@ -1,6 +1,8 @@
+import collections
 import hashlib
 import itertools
 import json
+import math
 import random
 from concurrent.futures import Future
 
@@ -47,7 +49,10 @@ from dpdefect.harness import (
     CriticalEntry,
     _FlagProfiles,
     _WeightedTables,
+    _canonical_form,
+    _iso_levels,
     _uncolorable_signings,
+    _vertex_pairs,
     in_guaranteed_range,
 )
 from dpdefect.solver import sample_signings
@@ -152,7 +157,7 @@ def test_reduced_strategy_matches_exhaustive_on_small_host():
 
 def test_graphs_up_to_iso_counts():
     # OEIS A000088
-    assert [len(graphs_up_to_iso(n)) for n in range(7)] == [1, 1, 2, 4, 11, 34, 156]
+    assert [len(graphs_up_to_iso(n)) for n in range(8)] == [1, 1, 2, 4, 11, 34, 156, 1044]
 
 
 def test_graphs_up_to_iso_matches_the_mask_scan():
@@ -165,7 +170,79 @@ def test_graphs_up_to_iso_matches_the_mask_scan():
 
 def test_graphs_up_to_iso_ceiling():
     with pytest.raises(ValueError):
-        graphs_up_to_iso(7)
+        graphs_up_to_iso(8)
+
+
+def _relabel(mask, perm, pairs, pair_idx):
+    """The mask of the graph of `mask` with vertex v relabelled perm[v]."""
+    out = 0
+    for k, (u, v) in enumerate(pairs):
+        if (mask >> k) & 1:
+            out |= 1 << pair_idx[tuple(sorted((perm[u], perm[v])))]
+    return out
+
+
+def test_recorded_parents_are_the_classes_of_every_g_minus_e():
+    for n in range(7):
+        pairs = _vertex_pairs(n)
+        pair_idx = {e: k for k, e in enumerate(pairs)}
+        for edges, level in enumerate(_iso_levels(n)):
+            for mask, (parents, _) in level.items():
+                assert bin(mask).count("1") == edges
+                assert parents == {
+                    _canonical_form(n, mask ^ (1 << k), pairs, pair_idx)[0]
+                    for k in range(len(pairs))
+                    if (mask >> k) & 1
+                }, (n, mask)
+
+
+def test_recorded_automorphisms_are_the_whole_group():
+    """Every recorded relabelling fixes the canonical mask, and by
+    orbit-stabiliser the group times the class size is n! (counted over all
+    masks for n <= 5); n = 6 and 7 check the fixing only."""
+    for n in range(8):
+        pairs = _vertex_pairs(n)
+        pair_idx = {e: k for k, e in enumerate(pairs)}
+        class_size = collections.Counter(
+            _canonical_form(n, mask, pairs, pair_idx)[0] for mask in range(1 << len(pairs))
+        ) if n <= 5 else None
+        for level in _iso_levels(n):
+            for mask, (_, automorphisms) in level.items():
+                assert len(set(automorphisms)) == len(automorphisms)
+                for perm in automorphisms:
+                    assert sorted(perm) == list(range(n))
+                    assert _relabel(mask, perm, pairs, pair_idx) == mask
+                if class_size is not None:
+                    assert len(automorphisms) * class_size[mask] == math.factorial(n)
+
+
+def _sorts_degrees(perm, degree):
+    """Whether relabelling v -> perm[v] lists the degrees non-increasingly."""
+    by_label = sorted(range(len(perm)), key=perm.__getitem__)
+    return all(degree[a] >= degree[b] for a, b in zip(by_label, by_label[1:]))
+
+
+def test_canonical_form_is_the_smallest_degree_sorted_relabelling():
+    """Against every relabelling that sorts the degrees, on every mask with
+    n <= 5 and on seeded masks with n = 6 and 7."""
+    rng = random.Random(2718)
+    for n in range(8):
+        pairs = _vertex_pairs(n)
+        pair_idx = {e: k for k, e in enumerate(pairs)}
+        if n <= 5:
+            masks = range(1 << len(pairs))
+        else:
+            masks = [rng.getrandbits(len(pairs)) for _ in range(20)]
+        for mask in masks:
+            degree = collections.Counter(
+                v for k, e in enumerate(pairs) if (mask >> k) & 1 for v in e
+            )
+            best = min(
+                _relabel(mask, perm, pairs, pair_idx)
+                for perm in itertools.permutations(range(n))
+                if _sorts_degrees(perm, degree)
+            )
+            assert _canonical_form(n, mask, pairs, pair_idx)[0] == best, (n, mask)
 
 
 def test_enumerate_uniform_12_n3_empty():
@@ -227,6 +304,46 @@ def test_uniform_survey_matches_per_graph_is_critical(i, j):
         assert rep.min_edges == min((len(e.edges) for e in criticals), default=None)
 
 
+def test_inherited_graphs_are_uncolorable(monkeypatch):
+    """The survey computes no bitset for a graph with an uncolorable
+    parent; each such graph's own bitset is nonzero.  (1, 3) and (2, 4)
+    have no uncolorable graph with n <= 6, so nothing is inherited there."""
+    scanned = []
+    bitsets = harness._uncolorable_signings
+
+    def recording(instance):
+        scanned.append(instance.graph)
+        return bitsets(instance)
+
+    monkeypatch.setattr(harness, "_uncolorable_signings", recording)
+    inherited = {}
+    for i, j in UNIFORM_PAIRS:
+        params = DefectParams(i, j)
+        for n in range(7):
+            scanned.clear()
+            rep = enumerate_critical(params, n, mode="uniform")
+            assert len(scanned) == len(set(scanned))
+            skipped = set(graphs_up_to_iso(n)) - set(scanned)
+            assert len(skipped) == rep.graphs_examined - len(scanned)
+            for graph in skipped:
+                assert bitsets(WeightedInstance.uniform(graph, params)), (i, j, graph)
+            inherited[i, j] = inherited.get((i, j), 0) + len(skipped)
+    assert inherited == {(0, 0): 156, (0, 1): 113, (1, 1): 38, (1, 2): 3, (1, 3): 0, (2, 4): 0}
+
+
+def test_uniform_survey_n7():
+    rep = enumerate_critical(P12, 7, mode="uniform")
+    assert rep.graphs_examined == rep.pairs_examined == 1044
+    assert len(rep.criticals) == 32
+    assert rep.min_edges == 13 and rep.bound_min_edges == 12 and rep.bound_satisfied
+    assert not rep.potential_violations and not rep.sparsity_violations
+    rows = [
+        [[list(e) for e in c.edges], [list(cap) for cap in c.caps], c.rho] for c in rep.criticals
+    ]
+    # in report order: graphs_up_to_iso order
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == "7a893f86250a32f4"
+
+
 def test_uniform_survey_n6():
     rep = enumerate_critical(P12, 6, mode="uniform")
     assert rep.graphs_examined == 156
@@ -269,6 +386,38 @@ def test_uncolorable_signings_match_the_solver_on_every_small_graph():
                 assert bad == _uncolorable_by_solver(inst), (graph, inst.caps)
                 partial += 0 < bad < (1 << (1 << graph.edge_count())) - 1
     assert partial >= 100
+
+
+def test_uncolorable_signings_without_edges():
+    """n = 0 has one (empty) signing and it is colorable; at n = 1 a map
+    and its complement read the poor and the rich cap."""
+    assert _uncolorable_signings(WeightedInstance.uniform(SimpleGraph(0, frozenset()), P12)) == 0
+    lone = SimpleGraph(1, frozenset())
+    for caps, bad in [((-1, -1), 1), ((-1, 0), 0), ((0, -1), 0), ((1, 2), 0)]:
+        inst = WeightedInstance(lone, P12, CapacityFunction((caps,)))
+        assert _uncolorable_signings(inst) == bad, caps
+
+
+@pytest.mark.parametrize(
+    "caps",
+    [
+        ((-1, 0), (0, -1)),
+        ((0, -1), (0, -1), (-1, 1)),
+        ((2, -1), (-1, 1), (1, 0), (0, 2)),
+        ((-1, 2), (2, -1), (0, 0), (1, -1)),
+    ],
+)
+def test_uncolorable_signings_with_poor_and_rich_caps_apart(caps):
+    """Caps where a map and its complement differ; against the solver on
+    the path and the complete graph on the same vertices."""
+    params = DefectParams(2, 2)
+    n = len(caps)
+    for graph in (
+        SimpleGraph.from_edges(n, [(v, v + 1) for v in range(n - 1)]),
+        SimpleGraph.from_edges(n, itertools.combinations(range(n), 2)),
+    ):
+        inst = WeightedInstance(graph, params, CapacityFunction(caps))
+        assert _uncolorable_signings(inst) == _uncolorable_by_solver(inst), (graph, caps)
 
 
 @st.composite
@@ -787,7 +936,7 @@ def _use_lazy_pool(monkeypatch, cpus):
     monkeypatch.setattr(_LazyPool, "ran", [])
     monkeypatch.setattr(_LazyPool, "futures", [])
     monkeypatch.setattr(_LazyPool, "sizes", [])
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _LazyPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _LazyPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
 
 
