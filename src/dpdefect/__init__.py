@@ -36,7 +36,6 @@ from .solver import (
 from .potential import (
     PotentialReport,
     SparsityResult,
-    check_submodularity,
     min_potential_subset,
     sparsity_test,
     subset_potential,

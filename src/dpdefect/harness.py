@@ -9,6 +9,14 @@ vertex alone is uncolorable, or removing it leaves a non-colorable proper
 subgraph with the full edge set).  Nor, with two or more vertices, is an
 instance with a vertex whose caps are (-1, -1): that vertex alone is a
 non-colorable proper subgraph.
+
+`is_critical` decides one instance with the solver or from flag profiles.
+The surveys decide many instances at once from bitsets of Python ints and
+call the solver only to cross-check each critical.  The uniform survey
+keeps, per graph, one bitset over its signings.  The weighted survey
+quantifies over capacity functions as well, so its bitsets run over the
+capacity functions of a graph, one per signing and map, and a graph's
+signings are walked once for all of them.
 """
 
 from __future__ import annotations
@@ -504,13 +512,23 @@ class EnumerationReport:
         return self.min_edges >= self.bound_min_edges
 
 
-def _bit_pattern(t: int, width: int) -> int:
-    """The bitset of the numbers below 2**width whose bit t is set."""
-    pattern, span = ((1 << (1 << t)) - 1) << (1 << t), 2 << t
-    while span < 1 << width:
+def _repeat(pattern: int, span: int, count: int) -> int:
+    """`count` copies of `pattern`, `span` bits apart, by shift-OR doubling."""
+    out = shift = 0
+    while True:
+        if count & 1:
+            out |= pattern << shift
+            shift += span
+        count >>= 1
+        if not count:
+            return out
         pattern |= pattern << span
         span <<= 1
-    return pattern
+
+
+def _bit_pattern(t: int, width: int) -> int:
+    """The bitset of the numbers below 2**width whose bit t is set."""
+    return _repeat(((1 << (1 << t)) - 1) << (1 << t), 2 << t, 1 << (width - 1 - t))
 
 
 def _at_least(conflicts: list[int], top: int, everything: int) -> list[int]:
@@ -568,97 +586,131 @@ def _uncolorable_signings(instance: WeightedInstance) -> int:
     return uncolorable
 
 
+def _bit_positions(bits: int) -> Iterator[int]:
+    """The positions of the set bits of `bits`, ascending."""
+    text = format(bits, "b")[::-1]
+    r = text.find("1")
+    while r >= 0:
+        yield r
+        r = text.find("1", r + 1)
+
+
 class _WeightedTables:
-    """Bitsets over (map, signing) that decide criticality for every
-    capacity function on one graph.
+    """Bitsets over the capacity functions of one graph that decide which
+    of them make it critical.
 
-    Bit (map << m) + signing, m the edge count, stands for one (map,
-    signing): vertex v is bit v of a map (1 = rich), edge k (sorted order)
-    bit k of a signing.  vertex[v][cap] holds where v's conflicts are
-    within cap, and a pair's valid set is the AND of one table per vertex.
-    OR-folding it over the maps leaves the set of colorable signings.
-    Phase 2 for G - e uses the endpoint tables with e's conflict taken
-    away; they no longer depend on e's sign bit, so each signing of G - e
-    appears twice in the fold and the full set still means colorable.
+    With K = (i + 2)(j + 2) caps per vertex (`caps`, ascending), bit r of a
+    set stands for the capacity function of rank r: vertex 0 is its most
+    significant base-K digit, so ascending rank is
+    itertools.product(caps, repeat=n) order.  at_least[v][b][t] holds the
+    capacity functions whose side-b cap at v (0 poor, 1 rich) is at least
+    t, for t = 0..deg(v); each is a periodic pattern in digit v.  Under a
+    map x and a signing s, vertex v with t conflicts is within its cap
+    exactly on at_least[v][x_v][t], so the AND over the vertices is where
+    x is valid, and its OR over the maps is where s is colorable.  Map x
+    and its complement have the same conflicts, so one count per vertex
+    serves both.
 
-    `criticals` walks the capacity functions as a tree in
-    itertools.product(caps, repeat=n) order: level v fixes vertex v's cap
-    and ANDs its table into its parent's prefix, so a leaf costs one AND,
-    not n.  With n >= 2 two kinds of pair are decided without a walk, and
-    both exactly, since neither can be critical (see the module
-    docstring): every pair of a graph with an isolated vertex, and every
-    pair with a cap (-1, -1), whose vertex alone is a non-colorable proper
-    subgraph.  At n = 1 the only proper subgraph is the empty graph, so
-    both stay in and ((-1, -1),) is critical.
+    A set holds K^n bits: 2.6 KB at n = 4 and 31 KB at n = 5 for (1, 2).
+    The witness record adds at most one set per signing.
+
+    With n >= 2 a graph with an isolated vertex is skipped, exactly: none
+    of its pairs is critical (see the module docstring).  A cap (-1, -1)
+    needs no skip.  With n >= 2 and no isolated vertex the graph has an
+    edge, and every G - e keeps the vertex with that cap, which cannot be
+    colored alone, so phase 2 drops the pair.  At n = 1 the only proper
+    subgraph is the empty graph, and ((-1, -1),) is critical.
     """
 
     def __init__(self, graph: SimpleGraph, params: DefectParams):
-        n, m = graph.n, len(graph.sorted_edges)
+        n, edges = graph.n, graph.sorted_edges
         caps = [(c1, c2) for c1 in range(-1, params.i + 1) for c2 in range(-1, params.j + 1)]
-        top = max(params.i, params.j)
-        everything = (1 << (1 << (n + m))) - 1
-        rich = [_bit_pattern(m + v, n + m) for v in range(n)]
-        conflict = [
-            everything & ~(rich[u] ^ rich[w] ^ _bit_pattern(k, n + m))
-            for k, (u, w) in enumerate(graph.sorted_edges)
-        ]
-        incident = [[k for k, e in enumerate(graph.sorted_edges) if v in e] for v in range(n)]
-
-        def table(v: int, skip: int | None = None) -> dict[tuple[int, int], int]:
-            at_least = _at_least([conflict[k] for k in incident[v] if k != skip], top, everything)
-            at_most = [everything ^ a for a in at_least]
-            poor = everything ^ rich[v]
-            return {c: poor & at_most[c[0] + 1] | rich[v] & at_most[c[1] + 1] for c in caps}
-
+        size = len(caps)
         self.caps = caps
         self.n = n
-        self.shifts = [1 << (m + k) for k in range(n)]
-        self.full = (1 << (1 << m)) - 1
-        self.everything = everything
-        self.vertex = [table(v) for v in range(n)]
-        self.edges = [
-            ((u, table(u, k)), (w, table(w, k)), tuple(v for v in range(n) if v not in (u, w)))
-            for k, (u, w) in enumerate(graph.sorted_edges)
+        self.everything = (1 << size**n) - 1
+        self.at_least = []
+        for v in range(n):
+            block = size ** (n - 1 - v)  # a run of one value of digit v
+            ones = (1 << block) - 1
+            self.at_least.append([
+                [
+                    _repeat(
+                        sum(ones << (k * block) for k, cap in enumerate(caps) if cap[b] >= t),
+                        size * block,
+                        size**v,
+                    )
+                    for t in range(graph.degree(v) + 1)
+                ]
+                for b in (0, 1)
+            ])
+        self.m = len(edges)
+        self.incident = [sum(1 << k for k, e in enumerate(edges) if v in e) for v in range(n)]
+        # the maps with x_0 = 0: the edges they cut, and each vertex's
+        # tables for the map and for its complement
+        self.maps = [
+            (
+                sum(1 << k for k, (u, w) in enumerate(edges) if ((x >> u) ^ (x >> w)) & 1),
+                [(side[(x >> v) & 1], side[(~x >> v) & 1]) for v, side in enumerate(self.at_least)],
+            )
+            for x in range(0, 1 << n, 2)
         ]
-        self.isolated = n >= 2 and any(graph.degree(v) == 0 for v in range(n))
+        self.skip = n == 0 or n >= 2 and any(graph.degree(v) == 0 for v in range(n))
 
-    def _colorable(self, valid: int) -> int:
-        """The signings at which some map is valid."""
-        for s in self.shifts:
-            valid |= valid >> s
-        return valid & self.full
+    def _uncolorable(self, signing: int, missing: int, incident: list[int]) -> int:
+        """The capacity functions in `missing` under which no map is valid
+        for `signing`, each vertex counting its conflicts on `incident`."""
+        for cut, tables in self.maps:
+            conflicts = ~(signing ^ cut)
+            valid = valid_complement = missing
+            for (mine, complement), edges in zip(tables, incident):
+                t = (conflicts & edges).bit_count()
+                valid &= mine[t]
+                valid_complement &= complement[t]
+                if not (valid or valid_complement):
+                    break
+            missing ^= valid | valid_complement
+            if not missing:
+                break
+        return missing
 
     def criticals(self) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
         """The capacity functions under which the graph is critical, each
         with the number of its smallest uncolorable signing: the pairs on
         which is_critical(..., Exhaustive()) says CRITICAL, with its
-        witness, in itertools.product(self.caps, repeat=n) order."""
-        n, vertex, full = self.n, self.vertex, self.full
-        if self.isolated or n == 0:  # the empty graph is colorable
+        witness, in itertools.product(self.caps, repeat=n) order.
+
+        Phase 1 walks the signings upward, and each one records the
+        capacity functions it is the first to make uncolorable.  Phase 2
+        keeps those under which every G - e is colorable: for edge k, the
+        signings with bit k clear, e's conflicts left out.  It stops once
+        none is kept."""
+        if self.skip:
             return
-        caps = [c for c in self.caps if n < 2 or c != (-1, -1)]
-
-        def survives_deletions(chosen: tuple[tuple[int, int], ...]) -> bool:
-            for (u, table_u), (w, table_w), others in self.edges:
-                valid = table_u[chosen[u]] & table_w[chosen[w]]
-                for v in others:
-                    valid &= vertex[v][chosen[v]]
-                if self._colorable(valid) != full:
-                    return False
-            return True
-
-        def walk(level: int, prefix: int, chosen: tuple[tuple[int, int], ...]):
-            table = vertex[level]
-            for c in caps:
-                valid = prefix & table[c]
-                if level + 1 < n:
-                    yield from walk(level + 1, valid, (*chosen, c))
-                    continue
-                bad = full & ~self._colorable(valid)
-                if bad and survives_deletions((*chosen, c)):
-                    yield (*chosen, c), (bad & -bad).bit_length() - 1
-
-        yield from walk(0, self.everything, ())
+        m, incident = self.m, self.incident
+        first: list[tuple[int, int]] = []  # (signing, what it first makes uncolorable)
+        uncolorable = 0
+        for s in range(1 << m):
+            new = self._uncolorable(s, self.everything ^ uncolorable, incident)
+            if new:
+                first.append((s, new))
+                uncolorable |= new
+        critical = uncolorable
+        for k in range(m):
+            kept = [edges & ~(1 << k) for edges in incident]
+            for s in range(1 << m):
+                if not (s >> k) & 1:
+                    critical ^= self._uncolorable(s, critical, kept)
+                    if not critical:
+                        return
+        witness = {r: s for s, new in first for r in _bit_positions(new & critical)}
+        # rank r is the caps of head[r // low] followed by those of tail[r % low]
+        low = len(self.caps) ** (self.n // 2)
+        head = list(itertools.product(self.caps, repeat=self.n - self.n // 2))
+        tail = list(itertools.product(self.caps, repeat=self.n // 2))
+        for r in sorted(witness):
+            high, rest = divmod(r, low)
+            yield head[high] + tail[rest], witness[r]
 
 
 def enumerate_critical(
@@ -679,22 +731,23 @@ def enumerate_critical(
     isolated vertex.  Each critical is cross-checked by the solver, which
     must fail to color the smallest uncolorable signing the bitsets found.
     Criticals and sparsity violations are listed in graphs_up_to_iso order.
-    Weighted mode sweeps every capacity function (n <= 4) and records any
+    Weighted mode sweeps every capacity function (n <= 5) and records any
     critical pair whose potential exceeds the i - j - 1 ceiling.  Its
-    verdicts come from per-graph defect bitsets, built once per graph from
-    Python ints and read by a walk over the capacity functions in
-    itertools.product order (`_WeightedTables.criticals`).  The walk skips,
-    exactly, the graphs with an isolated vertex and the caps (-1, -1) when
-    n >= 2: no such pair is critical.  `pairs_examined` counts every pair,
-    those skipped included.  Criticals are listed in graphs_up_to_iso
-    order, then in the walk's order, and each is cross-checked by the
-    solver, which must fail to color the smallest uncolorable signing the
-    bitsets found.
+    verdicts come from bitsets over a graph's K^n capacity functions, K =
+    (i + 2)(j + 2) (`_WeightedTables.criticals`): for each signing, the OR
+    over the maps of the AND over the vertices of where each is within its
+    cap; phase 1 ANDs them, and phase 2 does the same for each G - e.  The
+    graphs with an isolated vertex are skipped, exactly, when n >= 2: none
+    of their pairs is critical.  `pairs_examined` counts every pair, those
+    skipped included.  Criticals are listed in graphs_up_to_iso order, then
+    in itertools.product order of the caps, and each is cross-checked by
+    the solver, which must fail to color the smallest uncolorable signing
+    the bitsets found.
     """
     if mode not in (MODE_UNIFORM, MODE_WEIGHTED):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == MODE_WEIGHTED and n > 4:
-        raise ValueError("weighted enumeration supported for n <= 4")
+    if mode == MODE_WEIGHTED and n > 5:
+        raise ValueError("weighted enumeration supported for n <= 5")
 
     i, j = params.i, params.j
     bound_min_edges = -(-((2 * i + 1) * n + j - i + 1) // (i + 1))
@@ -749,9 +802,12 @@ def enumerate_critical(
         for graph in graphs:
             tables = _WeightedTables(graph, params)
             pairs_examined += len(tables.caps) ** n
+            signings: dict[int, CoverSigning] = {}  # many criticals share a witness
             for caps, witness in tables.criticals():
+                if witness not in signings:
+                    signings[witness] = CoverSigning.from_bits(graph, witness)
                 instance = WeightedInstance(graph, params, CapacityFunction(caps))
-                if find_coloring(instance, CoverSigning.from_bits(graph, witness)) is not None:
+                if find_coloring(instance, signings[witness]) is not None:
                     raise RuntimeError("defect bitsets and solver disagree on colorability")
                 rho = subset_potential(instance, range(n))
                 criticals.append(CriticalEntry(graph.sorted_edges, caps, rho))

@@ -144,35 +144,6 @@ def min_potential_subset(
     return PotentialReport(_verts_of_mask(best_mask), best_val, mode)
 
 
-def check_submodularity(
-    instance: WeightedInstance, a: Iterable[int], b: Iterable[int]
-) -> int:
-    """Residual of the submodularity identity; the contract is exactly 0.
-
-    rho(A) + rho(B) - rho(A|B) - rho(A&B) - (i+1)|E(A\\B, B\\A)|
-    """
-    graph = instance.graph
-    n = graph.n
-    ma = _mask_of(a, n)
-    mb = _mask_of(b, n)
-    masks = graph.adjacency_masks
-    only_a = ma & ~mb
-    only_b = mb & ~ma
-    cross = 0
-    m = only_a
-    while m:
-        v = (m & -m).bit_length() - 1
-        cross += (masks[v] & only_b).bit_count()
-        m &= m - 1
-    lhs = _potential_of_mask(instance, ma) + _potential_of_mask(instance, mb)
-    rhs = (
-        _potential_of_mask(instance, ma | mb)
-        + _potential_of_mask(instance, ma & mb)
-        + (instance.params.i + 1) * cross
-    )
-    return lhs - rhs
-
-
 def sparsity_test(graph: SimpleGraph, params: DefectParams) -> SparsityResult:
     """Check (i+1)|E(G[S])| <= (2i+1)|S| + j - i for every nonempty subset.
 

@@ -1,11 +1,13 @@
 """Shared graph builders, seeded instance generators, the explicit cover
-graph used as an independent reference for the sign XOR rule, and the
-full mask scan used as the reference for isomorphism-class generation."""
+graph used as an independent reference for the sign XOR rule, the full
+mask scan used as the reference for isomorphism-class generation, and the
+submodularity residual of the potential."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterable
 
 from dpdefect import (
     PARALLEL,
@@ -16,6 +18,7 @@ from dpdefect import (
     WeightedInstance,
 )
 from dpdefect.harness import _canonical_form, _vertex_pairs
+from dpdefect.potential import _mask_of, _potential_of_mask
 
 Edge = tuple[int, int]
 
@@ -139,3 +142,32 @@ def graphs_by_mask_scan(n: int) -> list[SimpleGraph]:
                 )
             )
     return reps
+
+
+def check_submodularity(
+    instance: WeightedInstance, a: Iterable[int], b: Iterable[int]
+) -> int:
+    """Residual of the submodularity identity; the contract is exactly 0.
+
+    rho(A) + rho(B) - rho(A|B) - rho(A&B) - (i+1)|E(A\\B, B\\A)|
+    """
+    graph = instance.graph
+    n = graph.n
+    ma = _mask_of(a, n)
+    mb = _mask_of(b, n)
+    masks = graph.adjacency_masks
+    only_a = ma & ~mb
+    only_b = mb & ~ma
+    cross = 0
+    m = only_a
+    while m:
+        v = (m & -m).bit_length() - 1
+        cross += (masks[v] & only_b).bit_count()
+        m &= m - 1
+    lhs = _potential_of_mask(instance, ma) + _potential_of_mask(instance, mb)
+    rhs = (
+        _potential_of_mask(instance, ma | mb)
+        + _potential_of_mask(instance, ma & mb)
+        + (instance.params.i + 1) * cross
+    )
+    return lhs - rhs

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; each prints its own time.
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -21,7 +22,6 @@ from dpdefect import (
     WeightedInstance,
     brute_force_oracle,
     charges,
-    check_submodularity,
     colorable_all_covers,
     enumerate_critical,
     find_coloring,
@@ -39,7 +39,7 @@ from dpdefect import (
 )
 from dpdefect.cli import main as cli_main
 from dpdefect.solver import sample_signings
-from conftest import random_caps, random_graph
+from conftest import check_submodularity, random_caps, random_graph
 
 PAIR_GRID = [(1, 2), (1, 3), (1, 4), (2, 4), (2, 5), (2, 6)]
 M_GRID = [1, 2, 3]
@@ -130,13 +130,21 @@ def test_criterion_3_criticality_of_single_base_construction():
 
 
 def test_criterion_4_no_high_potential_critical_pairs():
-    with criterion(4, "no critical pair with potential above i-j-1 for n <= 4"):
+    with criterion(4, "no critical pair with potential above i-j-1 for n <= 5"):
         started = time.monotonic()
         params = DefectParams(1, 2)
-        for n in (1, 2, 3, 4):
+        for n in (1, 2, 3, 4, 5):
             rep = enumerate_critical(params, n, mode="weighted")
             assert rep.potential_violations == (), n
             assert all(e.rho <= -2 for e in rep.criticals)
+        # n = 5 runs only here: its counts and its report-order digest
+        assert rep.graphs_examined == 34 and rep.pairs_examined == 8_460_288
+        assert len(rep.criticals) == 82_241 and rep.min_edges == 4
+        rows = [
+            [[list(e) for e in c.edges], [list(cap) for cap in c.caps], c.rho]
+            for c in rep.criticals
+        ]
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == "8810acb02ded7c23"
         assert time.monotonic() - started < 600.0
 
 

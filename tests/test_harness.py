@@ -498,57 +498,73 @@ def test_enumerate_weighted_small_counts():
     assert rep3.min_edges == 2 and rep3.bound_satisfied is None
 
 
+def _report_digest(rep):
+    """The first 16 hex digits of the SHA-256 of the criticals' JSON rows,
+    in report order."""
+    rows = [
+        [[list(e) for e in c.edges], [list(cap) for cap in c.caps], c.rho] for c in rep.criticals
+    ]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+
+
 def test_enumerate_weighted_n4():
     rep = enumerate_critical(P12, 4, mode="weighted")
     assert rep.graphs_examined == 11 and rep.pairs_examined == 228096
     assert len(rep.criticals) == 6372 and rep.min_edges == 3
     assert not rep.potential_violations and not rep.sparsity_violations
-    rows = [
-        [[list(e) for e in c.edges], [list(cap) for cap in c.caps], c.rho] for c in rep.criticals
-    ]
     # in report order: graphs_up_to_iso order, then itertools.product order of the caps
-    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == "e248b8b6aadf2ed3"
+    assert _report_digest(rep) == "e248b8b6aadf2ed3"
+
+
+@pytest.mark.parametrize(
+    "params,n,pairs,count,min_edges,digest",
+    [
+        (DefectParams(0, 1), 4, 14256, 160, 3, "2b1b00cf65c713be"),
+        (DefectParams(1, 3), 4, 556875, 15981, 3, "c770f89b8776f174"),
+        (DefectParams(2, 4), 3, 55296, 2143, 2, "23fe5ac59fc4dbf5"),
+    ],
+    ids=str,
+)
+def test_enumerate_weighted_report_order(params, n, pairs, count, min_edges, digest):
+    """Counts and report-order digests of weighted surveys at other (i, j),
+    as the per-leaf walk over (map, signing) bitsets computed them."""
+    rep = enumerate_critical(params, n, mode="weighted")
+    assert rep.pairs_examined == pairs and len(rep.criticals) == count
+    assert rep.min_edges == min_edges
+    assert _report_digest(rep) == digest
 
 
 def test_enumerate_weighted_guard():
     with pytest.raises(ValueError):
-        enumerate_critical(P12, 5, mode="weighted")
+        enumerate_critical(P12, 6, mode="weighted")
 
 
 @pytest.mark.parametrize("params", [P12, DefectParams(2, 4)], ids=str)
-def test_weighted_table_bits_match_a_direct_defect_count(params):
-    """Every bit of every vertex and edge table against v's conflicts counted
-    under that (map, signing), with and without edge k, within the cap."""
+def test_weighted_cap_patterns_match_the_decoded_rank(params):
+    """Every bit of every at_least[v][b][t] against the capacity function
+    decoded from the bit's rank, vertex 0 the most significant digit."""
     for n in range(4):
         for graph in graphs_up_to_iso(n):
             tables = _WeightedTables(graph, params)
-            edges = graph.sorted_edges
-            m = len(edges)
-            assert [(u, w) for (u, _), (w, _), _ in tables.edges] == list(edges)
-            for cmap, signs in itertools.product(range(1 << n), range(1 << m)):
-                bit = (cmap << m) + signs
-                conflicts = [
-                    ((cmap >> u) ^ (cmap >> w)) & 1 == (signs >> k) & 1
-                    for k, (u, w) in enumerate(edges)
-                ]
-
-                def within(v, table, skip=None):
-                    defect = sum(
-                        c for k, c in enumerate(conflicts) if v in edges[k] and k != skip
-                    )
-                    for cap in tables.caps:
-                        assert 0 <= table[cap] <= tables.everything
-                        bound = cap[(cmap >> v) & 1]
-                        assert (table[cap] >> bit) & 1 == (defect <= bound), (
-                            graph, v, skip, cmap, signs, cap)
-
-                for v in range(n):
-                    within(v, tables.vertex[v])
-                for k, ((u, table_u), (w, table_w), others) in enumerate(tables.edges):
-                    within(u, table_u, k)
-                    within(w, table_w, k)
-                    assert others == tuple(x for x in range(n) if x not in edges[k])
-            assert tables.everything == (1 << (1 << (n + m))) - 1
+            caps, size = tables.caps, len(tables.caps)
+            assert size == (params.i + 2) * (params.j + 2) and caps == sorted(set(caps))
+            assert tables.everything == (1 << size**n) - 1
+            assert [len(sides) for sides in tables.at_least] == [2] * n
+            decoded = []
+            for r in range(size**n):
+                digits = []
+                for _ in range(n):
+                    r, digit = divmod(r, size)
+                    digits.append(digit)
+                decoded.append([caps[d] for d in reversed(digits)])
+            for v, sides in enumerate(tables.at_least):
+                for b, rows in enumerate(sides):
+                    assert len(rows) == graph.degree(v) + 1
+                    for t, pattern in enumerate(rows):
+                        assert 0 <= pattern <= tables.everything
+                        bits = format(pattern, "b").zfill(size**n)[::-1]
+                        want = "".join("01"[chosen[v][b] >= t] for chosen in decoded)
+                        assert bits == want, (graph, v, b, t)
 
 
 def _criticals(graph, params):
@@ -603,6 +619,22 @@ def test_weighted_criticals_match_is_critical_on_k4(params, count):
     assert len(found) == count
     for caps in [*found, *random.Random(2718).sample(others, 300)]:
         _assert_agrees_with_is_critical(k4, params, caps, found)
+
+
+def test_weighted_criticals_match_is_critical_on_a_sample_at_n5():
+    """The densest n=5 graphs (8 to 10 edges): a seeded sample of their
+    criticals, and seeded draws from all their pairs."""
+    rng = random.Random(3141)
+    seen = 0
+    for graph in graphs_up_to_iso(5):
+        if graph.edge_count() < 8:
+            continue
+        tables, found = _criticals(graph, P12)
+        drawn = [tuple(rng.choice(tables.caps) for _ in range(5)) for _ in range(15)]
+        for caps in [*rng.sample(sorted(found), min(len(found), 15)), *drawn]:
+            _assert_agrees_with_is_critical(graph, P12, caps, found)
+        seen += len(found)
+    assert seen == 1210 + 1355 + 120
 
 
 @st.composite

@@ -8,7 +8,6 @@ from dpdefect import (
     DefectParams,
     SimpleGraph,
     WeightedInstance,
-    check_submodularity,
     flag_path_instance,
     min_potential_subset,
     sparsity_test,
@@ -16,7 +15,7 @@ from dpdefect import (
     vertex_potential,
 )
 from dpdefect.harness import graphs_up_to_iso
-from conftest import k2, random_caps, random_graph
+from conftest import check_submodularity, k2, random_caps, random_graph
 
 P12 = DefectParams(1, 2)
 
