@@ -36,7 +36,7 @@ from .potential import (
     sparsity_test,
     subset_potential,
 )
-from .solver import check_coloring, find_coloring, sample_covers
+from .solver import DEFAULT_ENUMERATION_CEILING, check_coloring, find_coloring, sample_covers
 
 
 class _CliError(Exception):
@@ -256,6 +256,8 @@ def _cmd_critical(args) -> tuple[int, dict, list[str]]:
         raise _CliError("--count and --seed apply only to --strategy sampled")
     if args.strategy != "exhaustive" and args.max_edges is not None:
         raise _CliError("--max-edges applies only to --strategy exhaustive")
+    if args.max_edges is not None and args.max_edges < 0:
+        raise _CliError(f"--max-edges must be at least 0, got {args.max_edges}")
     if args.construct:
         try:
             i, j, m = _ints(args.construct, 3)
@@ -467,7 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="build a flag-path instance instead of reading a file")
     p.add_argument("--strategy", choices=["exhaustive", "reduced", "sampled"],
                    default="exhaustive")
-    p.add_argument("--max-edges", type=int, help="exhaustive only (default 16)")
+    p.add_argument("--max-edges", type=int,
+                   help=f"exhaustive only (default {DEFAULT_ENUMERATION_CEILING})")
     p.add_argument("--count", type=int, help="sampled only (default 1000)")
     p.add_argument("--seed", type=int, help="sampled only (default 0)")
     p.add_argument("--workers", type=int, default=1)

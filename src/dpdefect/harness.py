@@ -3,20 +3,16 @@
 An instance is critical when some cover signing defeats every coloring but
 every proper subgraph is colorable for every signing.  Colorability only
 gains from deleting edges, so single-edge deletions cover all proper
-subgraphs once isolated vertices are handled separately (an instance with
-two or more vertices and an isolated vertex is never critical: either that
-vertex alone is uncolorable, or removing it leaves a non-colorable proper
-subgraph with the full edge set).  Nor, with two or more vertices, is an
-instance with a vertex whose caps are (-1, -1): that vertex alone is a
-non-colorable proper subgraph.
+subgraphs once isolated vertices are handled separately: with two or more
+vertices, an isolated vertex is itself uncolorable or leaves a
+non-colorable proper subgraph with the full edge set, and a vertex with
+caps (-1, -1) is a non-colorable proper subgraph.
 
-`is_critical` decides one instance with the solver or from flag profiles.
-The surveys decide many instances at once from bitsets of Python ints and
-call the solver only to cross-check each critical.  The uniform survey
-keeps, per graph, one bitset over its signings.  The weighted survey
-quantifies over capacity functions as well, so its bitsets run over the
-capacity functions of a graph, one per signing and map, and a graph's
-signings are walked once for all of them.
+`is_critical` decides one instance through `colorable_all_covers` (the
+solver's map walk, or seeded draws) or from flag profiles.  The uniform
+survey asks the map walk about each graph.  The weighted survey quantifies
+over capacity functions as well, in bitsets over a graph's capacity
+functions.  Both call the solver only to cross-check each critical.
 """
 
 from __future__ import annotations
@@ -49,6 +45,8 @@ from .model import (
 )
 from .potential import sparsity_test, subset_potential
 from .solver import (
+    DEFAULT_ENUMERATION_CEILING,
+    _lowest_uncolorable,
     colorable_all_covers,
     find_coloring,
     sample_covers,
@@ -65,7 +63,7 @@ MODE_WEIGHTED = "weighted"
 
 @dataclass(frozen=True)
 class Exhaustive:
-    max_edges: int = 16
+    max_edges: int = DEFAULT_ENUMERATION_CEILING
 
 
 @dataclass(frozen=True)
@@ -114,19 +112,22 @@ def _phase_covers(
     instance: WeightedInstance, strategy: Strategy, deleted: Edge | None
 ) -> tuple[CoverSigning | None, int, int, int]:
     """One colorability-for-all-covers phase: (witness, examined, signings
-    solved, nodes); every examined signing goes to the solver.  A sampled
-    deletion of edge k draws its signings from the seed "{seed}:{k}"."""
+    solved, nodes).  Exhaustive hands the solver only the witness, to
+    cross-check; Sampled hands it every examined signing, and its deletion
+    of edge k draws its signings from the seed "{seed}:{k}"."""
     inst = instance.without_edge(deleted) if deleted else instance
     if isinstance(strategy, Exhaustive):
         scan = colorable_all_covers(inst, max_edges=strategy.max_edges)
+        solved = 0 if scan.colorable else 1
     elif isinstance(strategy, Sampled):
         seed = strategy.seed
         if deleted is not None:
             seed = f"{seed}:{instance.graph.edge_index[deleted]}"
         scan = sample_covers(inst, strategy.count, seed)
+        solved = scan.signings_examined
     else:
         raise TypeError(f"unknown strategy {strategy!r}")
-    return scan.witness, scan.signings_examined, scan.signings_examined, scan.nodes_expanded
+    return scan.witness, scan.signings_examined, solved, scan.nodes_expanded
 
 
 def _check_deleted_edge(args) -> tuple[Edge, CoverSigning | None, int, int, int]:
@@ -289,15 +290,13 @@ def is_critical(
     stops at the first edge (in order) that does not.  Sampled runs never
     certify: a clean sampled pass yields the non-certifying UNREFUTED.
 
-    Exhaustive and Sampled runs hand signings to the solver, and spread
-    phase 2's edges over min(workers, edges, CPUs) processes.  A Reduced run
-    decides both phases from flag profiles: the fewest conflicts each flag
-    can put on its base, for a poor and a rich base, with its top and
-    middles valid.  It tries every path signing with every maximal load per
-    base; a damaged flag gets the profiles of its remaining edges, and a
-    deleted path edge splits the path.  Phase 2 visits one edge per
-    automorphism orbit.  The solver only cross-checks each uncolorable
-    signing the profiles rebuild, and `workers` does not matter.
+    An Exhaustive run decides G and each G - e by the map walk of
+    `colorable_all_covers`, and the solver cross-checks each witness; a
+    Sampled run hands every drawn signing to the solver.  Both spread phase
+    2's edges over min(workers, edges, CPUs) processes.  A Reduced run
+    decides both phases from flag profiles (`_FlagProfiles`), visits one
+    deleted edge per automorphism orbit, and hands the solver only each
+    uncolorable signing the profiles rebuild; `workers` does not matter.
     """
     graph = instance.graph
     certifying = not isinstance(strategy, Sampled)
@@ -526,66 +525,6 @@ def _repeat(pattern: int, span: int, count: int) -> int:
         span <<= 1
 
 
-def _bit_pattern(t: int, width: int) -> int:
-    """The bitset of the numbers below 2**width whose bit t is set."""
-    return _repeat(((1 << (1 << t)) - 1) << (1 << t), 2 << t, 1 << (width - 1 - t))
-
-
-def _at_least(conflicts: list[int], top: int, everything: int) -> list[int]:
-    """Entry t: the bits at which at least t of `conflicts` hold, for
-    t = 0..top + 1.  A cap c is kept exactly off entry c + 1, and entry 0
-    is `everything`, so cap -1 is never kept."""
-    at_least = [everything] + [0] * (top + 1)
-    for conflict in conflicts:
-        for t in range(top + 1, 0, -1):
-            at_least[t] |= at_least[t - 1] & conflict
-    return at_least
-
-
-def _uncolorable_signings(instance: WeightedInstance) -> int:
-    """The bitset of the signings (numbered as in `CoverSigning.from_bits`)
-    under which no map is valid; its lowest bit is the first uncolorable
-    signing in binary-counter order.
-
-    Under map x, edge k = (u, w) conflicts exactly at the signings whose
-    bit k equals x_u XOR x_w.  That does not change when every choice
-    flips, so map x and its complement share their conflict sets, and one
-    at-least count per vertex serves both, each map reading it at its own
-    cap.  The walk takes the 2^(n-1) maps with x_0 = 0 together with their
-    complements.  For each map the signings where every vertex stays
-    within its cap are ANDed vertex by vertex and taken out of the
-    uncolorable set.  A pair stops as soon as neither map can take out a
-    signing, and the scan stops once no signing is left.
-    """
-    graph = instance.graph
-    n, edges = graph.n, graph.sorted_edges
-    full = (1 << (1 << len(edges))) - 1
-    sign = [_bit_pattern(k, len(edges)) for k in range(len(edges))]
-    unsigned = [full ^ s for s in sign]
-    incident = [[k for k, e in enumerate(edges) if v in e] for v in range(n)]
-    caps = instance.caps.pairs
-    uncolorable = full
-    for x in range(0, 1 << n, 2):
-        conflict = [
-            sign[k] if ((x >> u) ^ (x >> w)) & 1 else unsigned[k]
-            for k, (u, w) in enumerate(edges)
-        ]
-        valid = valid_complement = full
-        for v in range(n):
-            cap, cap_complement = caps[v][::-1] if (x >> v) & 1 else caps[v]
-            at_least = _at_least(
-                [conflict[k] for k in incident[v]], max(cap, cap_complement), full
-            )
-            valid &= ~at_least[cap + 1]
-            valid_complement &= ~at_least[cap_complement + 1]
-            if not (valid | valid_complement) & uncolorable:
-                break
-        uncolorable &= ~(valid | valid_complement)
-        if not uncolorable:
-            break
-    return uncolorable
-
-
 def _bit_positions(bits: int) -> Iterator[int]:
     """The positions of the set bits of `bits`, ascending."""
     text = format(bits, "b")[::-1]
@@ -720,29 +659,21 @@ def enumerate_critical(
 
     Uniform mode fixes capacities at (i, j) everywhere and checks, inside
     the claimed parameter range, the minimum-edge bound and that no sparse
-    graph turns out non-colorable.  Each graph's uncolorable signings come
-    from per-map signing bitsets (`_uncolorable_signings`), with no solver
-    call.  The graphs are decided one edge count at a time as `_iso_levels`
-    grows them, and each arrives with its recorded parents, the classes of
-    its G - e, all decided already.  A graph with an uncolorable parent is
-    uncolorable and not critical (deleting an edge never makes a signing
-    harder to color), so it needs no bitset.  Otherwise every G - e is
-    colorable, and an uncolorable G is critical iff (with n >= 2) it has no
-    isolated vertex.  Each critical is cross-checked by the solver, which
-    must fail to color the smallest uncolorable signing the bitsets found.
-    Criticals and sparsity violations are listed in graphs_up_to_iso order.
-    Weighted mode sweeps every capacity function (n <= 5) and records any
-    critical pair whose potential exceeds the i - j - 1 ceiling.  Its
-    verdicts come from bitsets over a graph's K^n capacity functions, K =
-    (i + 2)(j + 2) (`_WeightedTables.criticals`): for each signing, the OR
-    over the maps of the AND over the vertices of where each is within its
-    cap; phase 1 ANDs them, and phase 2 does the same for each G - e.  The
-    graphs with an isolated vertex are skipped, exactly, when n >= 2: none
-    of their pairs is critical.  `pairs_examined` counts every pair, those
-    skipped included.  Criticals are listed in graphs_up_to_iso order, then
-    in itertools.product order of the caps, and each is cross-checked by
-    the solver, which must fail to color the smallest uncolorable signing
-    the bitsets found.
+    graph turns out non-colorable.  The graphs are decided one edge count
+    at a time as `_iso_levels` grows them, each with its recorded parents,
+    the classes of its G - e, decided already.  A graph with an
+    uncolorable parent is uncolorable and not critical (deleting an edge
+    never makes a signing harder to color).  Otherwise every G - e is
+    colorable, the solver's map walk (`_lowest_uncolorable`) decides G, and
+    an uncolorable G is critical iff (with n >= 2) it has no isolated
+    vertex.  Weighted mode sweeps every capacity function (n <= 5) and
+    records any critical pair whose potential exceeds the i - j - 1
+    ceiling, deciding each graph's pairs at once (`_WeightedTables`); the
+    graphs with an isolated vertex are skipped, exactly, when n >= 2, but
+    `pairs_examined` counts their pairs.  In both modes the solver must
+    fail to color each critical's smallest uncolorable signing.  Criticals
+    are listed in graphs_up_to_iso order (then, weighted, in
+    itertools.product order of the caps).
     """
     if mode not in (MODE_UNIFORM, MODE_WEIGHTED):
         raise ValueError(f"unknown mode {mode!r}")
@@ -770,15 +701,15 @@ def enumerate_critical(
                     uncolorable.add(mask)  # it contains an uncolorable G - e
                     continue
                 instance = WeightedInstance.uniform(graph, params)
-                bad = _uncolorable_signings(instance)
-                if not bad:
+                lowest, _ = _lowest_uncolorable(instance)
+                if lowest is None:
                     continue
                 uncolorable.add(mask)
                 if n >= 2 and any(graph.degree(v) == 0 for v in range(n)):
                     continue
-                witness = CoverSigning.from_bits(graph, (bad & -bad).bit_length() - 1)
+                witness = CoverSigning.from_bits(graph, lowest)
                 if find_coloring(instance, witness) is not None:
-                    raise RuntimeError("signing bitsets and solver disagree on colorability")
+                    raise RuntimeError("map walk and solver disagree on colorability")
                 critical.add(mask)
         graphs_examined = pairs_examined = len(graphs_by_mask)
         for mask, graph in sorted(graphs_by_mask.items()):

@@ -4,10 +4,14 @@
 incremental defect counters, capacity pruning) of the whole graph.
 `brute_force_oracle` re-decides the same question by exhausting all 2^n
 maps through `check_coloring` and deliberately shares no search code with
-it.  `colorable_all_covers` and `sample_covers` feed a stream of signings
-to one loop, `_scan`, and report a `CoverScan`; the loop splits the leaf
-blocks of the block-cut tree off into tables of packed loads, and searches
-the rest once per distinct key (its loads and its own signs) of a scan.
+it.  `_lowest_uncolorable` is the only code that quantifies over every
+signing: a walk over the maps that decides 2^12 signings at once, in sets
+held as Python ints.  An explicit stream of signings (seeded draws, a
+witness to cross-check, a hard cover) goes to `_scan`, which decides one
+signing at a time: it splits the leaf blocks of the block-cut tree off into
+tables of packed loads, and searches the rest once per distinct key (its
+loads and its own signs) of a scan.  `colorable_all_covers` and
+`sample_covers` report either as a `CoverScan`.
 """
 
 from __future__ import annotations
@@ -296,23 +300,24 @@ def _biconnected_components(graph: SimpleGraph) -> list[list[int]]:
 class _Plan:
     """How `_scan` decides a signing on one graph.
 
-    A leaf block is a block with exactly one cut vertex c, so it meets the
-    rest of the graph only at c.  For each choice x of c its signs matter
-    only through its load: the fewest conflicts it must put on c while its
-    other vertices stay within their caps.  The core, the graph minus the
-    interiors of the leaf blocks, is colorable with c's caps lowered by
-    its blocks' loads iff the graph is, whichever leaf blocks are split
-    off.  So the core's verdict depends on the signing only through the
-    loads and the signing's bits on the core's edges.  A leaf block is
-    split off only when it has fewer edges than the rest of the graph:
-    over all 2^m signings each of its keys then comes up at least four
-    times, while filling a key takes two or more searches of the block.
-    By the same count the core's verdicts are memoised only when the core
-    has fewer edges than the split-off blocks together (`memoise`); the
-    memo then keeps fewer than 2^(m/2) core sign patterns per load vector.
-    `blocks` holds (c, mask of the block's edges, search context of the
-    block) per split-off leaf block, `cuts` (c, number of its split-off
-    blocks) per cut vertex, and `core_mask` masks the core's edges.
+    A leaf block meets the rest of the graph only at its one cut vertex c,
+    so for each choice of c its signs matter only through its load: the
+    fewest conflicts it must put on c while its other vertices stay within
+    their caps.  The core, the graph minus the leaf blocks' interiors, is
+    colorable with c's caps lowered by its blocks' loads iff the graph is,
+    so the core's verdict depends only on the loads and the core's signs.
+    A leaf block with b edges is split off only when it has fewer edges
+    than the rest of the graph.  In a stream of N draws spread over all
+    signings each of its 2^b keys comes up about N / 2^b times, and filling
+    one takes two or more searches of the block, so the table pays once N
+    passes 2^(b+1); the rule keeps 2^b below 2^(m/2).  By the same count
+    the core is memoised only when it has fewer edges than the split-off
+    blocks together (`memoise`).  A one-signing stream (a witness to
+    cross-check, a hard cover) repeats no key and pays two or more searches
+    of each small block instead of one search of the graph.  `blocks`
+    holds (c, mask of the block's edges, its search context) per split-off
+    block, `cuts` (c, number of its split-off blocks) per cut vertex, and
+    `core_mask` masks the core's edges.
     """
 
     __slots__ = ("core", "blocks", "cuts", "core_mask", "memoise")
@@ -462,6 +467,160 @@ def _scan(instance: WeightedInstance, signings: Iterable[int]) -> CoverScan:
     return CoverScan(None, examined, nodes_total)
 
 
+WINDOW_BITS = 12  # a window holds 2^12 signings, so each of its sets is 512 B
+
+
+@lru_cache(maxsize=None)
+def _low_signs(width: int) -> tuple[int, ...]:
+    """Per edge k < width, the set of the numbers below 2**width whose bit
+    k is set: the signings of a window under which edge k is twisted."""
+    signs = []
+    for k in range(width):
+        run, span = ((1 << (1 << k)) - 1) << (1 << k), 2 << k  # 2^k clear, 2^k set
+        while span < 1 << width:
+            run, span = run | run << span, span << 1
+        signs.append(run)
+    return tuple(signs)
+
+
+class _Walk:
+    """The map walk of `_lowest_uncolorable` on one instance.
+
+    Each step places the vertex with the most placed neighbours (then the
+    smaller degree, then the larger label), so each connected component is
+    placed in one run: a part.  Per part, its order and, per depth, the
+    vertices whose last neighbour is placed there, as (vertex, mask of its
+    closed neighbourhood, its poor and rich caps, its low edges as
+    (neighbour, conflict set when the choices differ, when they agree), its
+    high edges as (neighbour, the edge's bit in the window number))."""
+
+    __slots__ = ("n", "width", "windows", "full", "parts")
+
+    def __init__(self, instance: WeightedInstance):
+        graph = instance.graph
+        adjacency, edge_index = graph.adjacency, graph.edge_index
+        m = len(graph.sorted_edges)
+        width = self.width = min(m, WINDOW_BITS)
+        full = self.full = (1 << (1 << width)) - 1
+        self.n, self.windows = graph.n, 1 << (m - width)
+        self.parts: list[tuple[list[int], list[list]]] = []
+        seen = dict.fromkeys(range(graph.n), 0)  # placed neighbours
+        position = {}
+        while seen:
+            v = max(seen, key=lambda u: (seen[u], -len(adjacency[u]), u))
+            if not seen.pop(v):  # no vertex left borders the placed ones
+                self.parts.append(([], []))
+            order, steps = self.parts[-1]
+            position[v] = len(order)
+            order.append(v)
+            steps.append([])
+            for u in adjacency[v]:
+                if u in seen:
+                    seen[u] += 1
+        signs = _low_signs(width)
+        for order, steps in self.parts:
+            for v in order:
+                (cap0, cap1), closed = instance.caps[v], (v, *adjacency[v])
+                edges = [(u, edge_index[(u, v) if u < v else (v, u)]) for u in adjacency[v]]
+                steps[max(map(position.__getitem__, closed))].append((
+                    v, sum(1 << u for u in closed), (cap0, cap1),
+                    [(u, signs[k], full ^ signs[k]) for u, k in edges if k < width],
+                    [(u, k - width) for u, k in edges if k >= width],
+                ))
+
+    def uncolorable(self, window: int) -> tuple[int, int]:
+        """The signings of `window` under which no map is valid, as a set
+        whose bit r stands for signing (window << width) + r, and the
+        placements spent.  The constraint of a vertex with at most 8
+        neighbours is memoised for the window under its neighbours'
+        choices relative to its own, all that it depends on."""
+        full = self.full
+        choice = [0] * self.n
+        memo: list[dict[int, tuple[int, int]]] = [{} for _ in choice]
+        uncolorable = nodes = 0
+        for order, steps in self.parts:
+            undecided = full ^ uncolorable
+            last = len(order) - 1
+
+            def descend(depth: int, mask: int, valid: int, valid_complement: int) -> None:
+                nonlocal undecided, nodes
+                v = order[depth]
+                for x in (0, 1) if depth else (0,):
+                    nodes += 1
+                    choice[v] = x
+                    placed = mask | (x << v)
+                    mine, theirs = valid, valid_complement
+                    for w, closed, caps, low, high in steps[depth]:
+                        xw = choice[w]
+                        # the choices around w relative to w's own: all its constraint needs
+                        relative = (placed ^ -xw) & closed
+                        keep = memo[w].get(relative)
+                        if keep is None:
+                            cap0, cap1 = caps
+                            for u, shift in high:
+                                if choice[u] ^ xw == (window >> shift) & 1:
+                                    cap0 -= 1
+                                    cap1 -= 1
+                            # at_least[t]: the signings with at least t conflicts at w
+                            top = min(max(cap0, cap1) + 1, len(low))
+                            at_least = [full] + [0] * top
+                            for u, differ, agree in low:
+                                conflict = differ if choice[u] ^ xw else agree
+                                for t in range(top, 0, -1):
+                                    at_least[t] |= at_least[t - 1] & conflict
+                            keep = (
+                                full ^ at_least[max(cap0 + 1, 0)] if cap0 < top else full,
+                                full ^ at_least[max(cap1 + 1, 0)] if cap1 < top else full,
+                            )
+                            if len(low) + len(high) <= 8:  # at most 2^8 keys of 1 KB
+                                memo[w][relative] = keep
+                        mine &= keep[xw]
+                        theirs &= keep[1 - xw]
+                        if not (mine | theirs) & undecided:
+                            break
+                    else:
+                        if depth == last:
+                            undecided &= ~(mine | theirs)
+                        else:
+                            descend(depth + 1, placed, mine, theirs)
+                        if not undecided:
+                            return
+
+            descend(0, 0, undecided, undecided)
+            uncolorable |= undecided
+            if uncolorable == full:
+                break
+        return uncolorable, nodes
+
+
+def _lowest_uncolorable(instance: WeightedInstance) -> tuple[int | None, int]:
+    """The lowest signing (bit k is the sign of sorted edge k) under which
+    no map is valid, or None; and the (vertex, choice) placements spent.
+
+    Under map x, edge k = (u, w) conflicts exactly at the signings whose bit
+    k equals x_u XOR x_w, for x and its complement alike, so the two are
+    walked as one pair.  The signings go in ascending windows of 2^12; a
+    window fixes the edges above bit 12 and holds its signings as sets of
+    512 B.  Each connected component walks its map pairs depth first
+    (`_Walk`): a vertex's constraint (the signings where its conflicts stay
+    within its cap) is ANDed in once its last neighbour is placed, a branch
+    whose sets miss every undecided signing is cut, and a complete map
+    takes its signings out of the undecided set.  What is left is
+    uncolorable.  Cost: up to 2^(n-1) map pairs per window and 2^(m-12)
+    windows, up to the first with an uncolorable signing.  The worst case
+    is a tree at caps (0, 0), where each signing has exactly one valid map
+    pair, so every pair is walked in every window.
+    """
+    walk = _Walk(instance)
+    nodes = 0
+    for window in range(walk.windows):
+        bad, spent = walk.uncolorable(window)
+        nodes += spent
+        if bad:
+            return (window << walk.width) + (bad & -bad).bit_length() - 1, nodes
+    return None, nodes
+
+
 def colorable_all_covers(
     instance: WeightedInstance,
     signings: Iterable[CoverSigning | tuple[int, ...]] | None = None,
@@ -469,28 +628,33 @@ def colorable_all_covers(
 ) -> CoverScan:
     """Quantify colorability over the whole cover space.
 
-    With `signings` omitted, all 2^|E| signings are enumerated in
-    binary-counter order (Parallel=0), so the reported witness is the
-    lexicographically smallest one; more than `max_edges` edges raise
-    ValueError.  A caller may instead supply its own stream, such as one
-    representative signing per symmetry class or a single signing to
-    cross-check; soundness is then the caller's contract.  Each signing is
-    decided exactly by `_scan`, through tables of packed leaf-block loads
-    and a search of the core (memoised per scan under its loads and its
-    own signs when the core is the smaller part), so the witness and
-    `signings_examined` are those of a whole-graph search per signing.
-    Only `nodes_expanded` differs: it counts the searches actually run.
+    With `signings` omitted, `_lowest_uncolorable` decides every signing;
+    more than `max_edges` edges raise ValueError.  The witness is the first
+    uncolorable signing in binary-counter order (Parallel=0), so the
+    lexicographically smallest, `signings_examined` its number + 1 (or
+    2^|E|), and the whole-graph search must fail on it, else RuntimeError.
+    `nodes_expanded` counts the walk's placements plus that search's nodes.
+    A caller may instead supply its own stream, such as one signing per
+    symmetry class or a single signing to cross-check; soundness is then
+    the caller's contract.  `_scan` decides a stream one signing at a time,
+    as a whole-graph search would, and counts the search nodes it spends.
     """
     graph = instance.graph
-    if signings is None:
-        m = len(graph.sorted_edges)
-        if m > max_edges:
-            raise ValueError(
-                f"enumeration ceiling exceeded: |E|={m} > {max_edges}; "
-                "supply a symmetry-class iterator"
-            )
-        return _scan(instance, range(1 << m))
-    return _scan(instance, (_as_bits(graph, s) for s in signings))
+    m = len(graph.sorted_edges)
+    if signings is not None:
+        return _scan(instance, (_as_bits(graph, s) for s in signings))
+    if m > max_edges:
+        raise ValueError(
+            f"enumeration ceiling exceeded: |E|={m} > {max_edges}; "
+            "supply a symmetry-class iterator"
+        )
+    lowest, nodes = _lowest_uncolorable(instance)
+    if lowest is None:
+        return CoverScan(None, 1 << m, nodes)
+    cmap, spent = _solve(_context(graph), _sign_tuple(lowest, m), _caps(instance))
+    if cmap is not None:
+        raise RuntimeError("internal error: the map walk and the solver disagree")
+    return CoverScan(CoverSigning.from_bits(graph, lowest), lowest + 1, nodes + spent)
 
 
 def _sample_bits(m: int, count: int, seed: int | str) -> Iterator[int]:

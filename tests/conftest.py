@@ -1,7 +1,8 @@
 """Shared graph builders, seeded instance generators, the explicit cover
 graph used as an independent reference for the sign XOR rule, the full
-mask scan used as the reference for isomorphism-class generation, and the
-submodularity residual of the potential."""
+mask scan used as the reference for isomorphism-class generation, the
+binary-counter solver loop used as the oracle for every quantification
+over all signings, and the submodularity residual of the potential."""
 
 from __future__ import annotations
 
@@ -16,9 +17,11 @@ from dpdefect import (
     DefectParams,
     SimpleGraph,
     WeightedInstance,
+    find_coloring,
 )
 from dpdefect.harness import _canonical_form, _vertex_pairs
 from dpdefect.potential import _mask_of, _potential_of_mask
+from dpdefect.solver import _Walk
 
 Edge = tuple[int, int]
 
@@ -122,6 +125,38 @@ def build_cover_graph(graph: SimpleGraph, signing: CoverSigning) -> CoverGraph:
             pairs = ((2 * u, 2 * v + 1), (2 * u + 1, 2 * v))
         edges.update(tuple(sorted(pair)) for pair in pairs)
     return CoverGraph(graph.n, frozenset(edges))
+
+
+def first_uncolorable(instance: WeightedInstance) -> tuple[CoverSigning | None, int]:
+    """The oracle for "is every signing colorable?": `find_coloring` on
+    each signing in binary-counter order, sharing no code with the map
+    walk.  Returns the first uncolorable signing (None if there is none)
+    and the number of signings examined."""
+    graph = instance.graph
+    m = graph.edge_count()
+    for bits in range(1 << m):
+        signing = CoverSigning.from_bits(graph, bits)
+        if find_coloring(instance, signing) is None:
+            return signing, bits + 1
+    return None, 1 << m
+
+
+def uncolorable_by_oracle(instance: WeightedInstance) -> int:
+    """The oracle's verdict on every signing: bit s is set iff
+    `find_coloring` fails on signing s."""
+    graph = instance.graph
+    return sum(
+        1 << bits
+        for bits in range(1 << graph.edge_count())
+        if find_coloring(instance, CoverSigning.from_bits(graph, bits)) is None
+    )
+
+
+def uncolorable_by_windows(instance: WeightedInstance) -> int:
+    """The map walk's verdict on every signing, in the oracle's layout: the
+    sets of all its windows, window w's set shifted to signing w << width."""
+    walk = _Walk(instance)
+    return sum(walk.uncolorable(w)[0] << (w << walk.width) for w in range(walk.windows))
 
 
 def graphs_by_mask_scan(n: int) -> list[SimpleGraph]:

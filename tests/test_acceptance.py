@@ -39,7 +39,7 @@ from dpdefect import (
 )
 from dpdefect.cli import main as cli_main
 from dpdefect.solver import sample_signings
-from conftest import check_submodularity, random_caps, random_graph
+from conftest import check_submodularity, first_uncolorable, random_caps, random_graph
 
 PAIR_GRID = [(1, 2), (1, 3), (1, 4), (2, 4), (2, 5), (2, 6)]
 M_GRID = [1, 2, 3]
@@ -227,7 +227,10 @@ def test_criterion_8_sparse_graphs_colorable():
                 kept += 1
                 inst = WeightedInstance.uniform(graph, params)
                 if graph.edge_count() <= 16:
-                    assert colorable_all_covers(inst, max_edges=16).colorable
+                    scan = colorable_all_covers(inst, max_edges=16)
+                    assert scan.colorable
+                    if graph.edge_count() <= 8:  # 339 of the 400; the rest cost seconds
+                        assert first_uncolorable(inst) == (None, scan.signings_examined)
                 else:
                     rep = sample_covers(inst, 1000, seed=CORPUS_SEED + kept)
                     assert rep.witness is None

@@ -11,12 +11,14 @@ import dpdefect
 from dpdefect import (
     CapacityFunction,
     DefectParams,
+    Exhaustive,
     SimpleGraph,
     WeightedInstance,
     flag_path_instance,
     serialize_instance,
 )
 from dpdefect.cli import main
+from dpdefect.solver import DEFAULT_ENUMERATION_CEILING
 from conftest import cycle_graph
 
 
@@ -194,6 +196,21 @@ def test_cli_integer_lists_follow_the_file_grammar(tmp_path, capsys, argv):
     assert code == 2 and stdout == "" and err.startswith("error: ")
 
 
+def test_negative_max_edges_names_the_flag(capsys):
+    code, stdout, err = run(
+        capsys, ["critical", "--construct", "1,2,1", "--strategy", "exhaustive", "--max-edges", "-1"]
+    )
+    assert code == 2 and stdout == ""
+    assert err == "error: --max-edges must be at least 0, got -1\n"
+
+
+def test_max_edges_default_is_the_solver_ceiling(capsys):
+    assert Exhaustive().max_edges == DEFAULT_ENUMERATION_CEILING
+    with pytest.raises(SystemExit):
+        main(["critical", "--help"])
+    assert f"(default {DEFAULT_ENUMERATION_CEILING})" in capsys.readouterr().out
+
+
 def test_verify_default(capsys):
     code, stdout, _ = run(capsys, ["verify", "--pairs", "1,2;1,3", "--ms", "1"])
     assert code == 0
@@ -260,7 +277,8 @@ def test_bad_integer_fields_are_input_errors(tmp_path, capsys, body):
 # Exact --json stdout of fixed commands.  C3 is the triangle at (0, 0) and
 # G121 the (1,2,1) flag-path host, both unsigned.  Under `reduced`,
 # nodes_expanded counts the search nodes of the witness cross-check; under
-# `sampled`, those of the searches the scan ran (a repeated key costs none).
+# `exhaustive`, the map walk's placements plus those nodes; under `sampled`,
+# those of the searches the scan ran (a repeated key costs none).
 GOLDEN_JSON = [
     (
         ["verify", "--pairs", "1,2;1,3", "--ms", "1,2"],
@@ -298,7 +316,7 @@ GOLDEN_JSON = [
     (
         ["critical", "C3", "--strategy", "exhaustive"],
         '{"certifying":true,"command":"critical","counters":{"classes":13,'
-        '"edges_checked":3,"nodes_expanded":58,"signings":13},'
+        '"edges_checked":3,"nodes_expanded":38,"signings":1},'
         '"failing_edge":null,'
         '"instance_digest":"eebff25d62b24baa6ba5600f7b70a236c7a6d8bd81a4af982ce2613d236729f9",'
         '"params":{"i":0,"j":0},"strategy":"exhaustive","verdict":"critical",'

@@ -51,12 +51,20 @@ from dpdefect.harness import (
     _WeightedTables,
     _canonical_form,
     _iso_levels,
-    _uncolorable_signings,
     _vertex_pairs,
     in_guaranteed_range,
 )
 from dpdefect.solver import sample_signings
-from conftest import cycle_graph, graphs_by_mask_scan, k2, random_caps, random_graph
+from conftest import (
+    cycle_graph,
+    first_uncolorable,
+    graphs_by_mask_scan,
+    k2,
+    random_caps,
+    random_graph,
+    uncolorable_by_oracle,
+    uncolorable_by_windows,
+)
 
 P12 = DefectParams(1, 2)
 P00 = DefectParams(0, 0)
@@ -268,23 +276,29 @@ def test_enumerate_uniform_01_n3():
 UNIFORM_PAIRS = [(0, 0), (0, 1), (1, 1), (1, 2), (1, 3), (2, 4)]
 
 
-def _uniform_survey_by_is_critical(params, n):
-    """Uniform survey decided graph by graph with is_critical(Exhaustive):
-    (criticals, sparsity violations) in graphs_up_to_iso order."""
+def _uniform_survey_by_oracle(params, n):
+    """Uniform survey decided graph by graph by the conftest oracle, with
+    criticality as is_critical defines it: some signing is uncolorable, no
+    vertex is isolated (n >= 2), and every G - e is colorable under every
+    signing.  (criticals, sparsity violations) in graphs_up_to_iso order."""
     criticals, sparse = [], []
     for graph in graphs_up_to_iso(n):
         inst = WeightedInstance.uniform(graph, params)
-        verdict = is_critical(inst, Exhaustive(max_edges=15))
+        witness, _ = first_uncolorable(inst)
         entry = CriticalEntry(
             graph.sorted_edges, inst.caps.pairs, subset_potential(inst, range(n))
         )
         if (
             in_guaranteed_range(params)
-            and verdict.witness is not None
+            and witness is not None
             and sparsity_test(graph, params).sparse
         ):
             sparse.append(entry)
-        if verdict.verdict == CRITICAL:
+        if (
+            witness is not None
+            and not (n >= 2 and any(graph.degree(v) == 0 for v in range(n)))
+            and all(first_uncolorable(inst.without_edge(e))[0] is None for e in graph.sorted_edges)
+        ):
             criticals.append(entry)
     return tuple(criticals), tuple(sparse)
 
@@ -294,7 +308,7 @@ def test_uniform_survey_matches_per_graph_is_critical(i, j):
     params = DefectParams(i, j)
     for n in range(6):
         rep = enumerate_critical(params, n, mode="uniform")
-        criticals, sparse = _uniform_survey_by_is_critical(params, n)
+        criticals, sparse = _uniform_survey_by_oracle(params, n)
         assert rep.graphs_examined == rep.pairs_examined == len(graphs_up_to_iso(n))
         assert rep.criticals == criticals, (i, j, n)
         assert rep.sparsity_violations == sparse
@@ -304,18 +318,32 @@ def test_uniform_survey_matches_per_graph_is_critical(i, j):
         assert rep.min_edges == min((len(e.edges) for e in criticals), default=None)
 
 
+@pytest.mark.parametrize("i,j", UNIFORM_PAIRS)
+def test_kernel_matches_the_oracle_on_every_small_class(i, j):
+    """The map walk's witness and signings examined against the conftest
+    oracle, on every class with n <= 6.  At (1, 3) and (2, 4) every such
+    graph is colorable, so the oracle tries all 2^m signings of each; n = 6
+    would take about 4 s a pair there, and stops at n = 5."""
+    params = DefectParams(i, j)
+    for n in range(6 if (i, j) in ((1, 3), (2, 4)) else 7):
+        for graph in graphs_up_to_iso(n):
+            inst = WeightedInstance.uniform(graph, params)
+            scan = colorable_all_covers(inst, max_edges=15)
+            assert (scan.witness, scan.signings_examined) == first_uncolorable(inst), graph
+
+
 def test_inherited_graphs_are_uncolorable(monkeypatch):
-    """The survey computes no bitset for a graph with an uncolorable
-    parent; each such graph's own bitset is nonzero.  (1, 3) and (2, 4)
+    """The survey walks no map for a graph with an uncolorable parent; each
+    such graph has an uncolorable signing of its own.  (1, 3) and (2, 4)
     have no uncolorable graph with n <= 6, so nothing is inherited there."""
     scanned = []
-    bitsets = harness._uncolorable_signings
+    kernel = harness._lowest_uncolorable
 
     def recording(instance):
         scanned.append(instance.graph)
-        return bitsets(instance)
+        return kernel(instance)
 
-    monkeypatch.setattr(harness, "_uncolorable_signings", recording)
+    monkeypatch.setattr(harness, "_lowest_uncolorable", recording)
     inherited = {}
     for i, j in UNIFORM_PAIRS:
         params = DefectParams(i, j)
@@ -326,7 +354,7 @@ def test_inherited_graphs_are_uncolorable(monkeypatch):
             skipped = set(graphs_up_to_iso(n)) - set(scanned)
             assert len(skipped) == rep.graphs_examined - len(scanned)
             for graph in skipped:
-                assert bitsets(WeightedInstance.uniform(graph, params)), (i, j, graph)
+                assert kernel(WeightedInstance.uniform(graph, params))[0] is not None, (i, j, graph)
             inherited[i, j] = inherited.get((i, j), 0) + len(skipped)
     assert inherited == {(0, 0): 156, (0, 1): 113, (1, 1): 38, (1, 2): 3, (1, 3): 0, (2, 4): 0}
 
@@ -364,15 +392,6 @@ def test_uniform_cross_check_rejects_a_colorable_witness(monkeypatch):
         enumerate_critical(P00, 3, mode="uniform")
 
 
-def _uncolorable_by_solver(inst):
-    graph = inst.graph
-    return sum(
-        1 << s
-        for s in range(1 << graph.edge_count())
-        if find_coloring(inst, CoverSigning.from_bits(graph, s)) is None
-    )
-
-
 def test_uncolorable_signings_match_the_solver_on_every_small_graph():
     """Every graph with n <= 4 under seeded per-vertex caps in -1..2."""
     rng = random.Random(3141)
@@ -382,8 +401,8 @@ def test_uncolorable_signings_match_the_solver_on_every_small_graph():
         for graph in graphs_up_to_iso(n):
             for _ in range(40):
                 inst = WeightedInstance(graph, params, random_caps(rng, n, params))
-                bad = _uncolorable_signings(inst)
-                assert bad == _uncolorable_by_solver(inst), (graph, inst.caps)
+                bad = uncolorable_by_windows(inst)
+                assert bad == uncolorable_by_oracle(inst), (graph, inst.caps)
                 partial += 0 < bad < (1 << (1 << graph.edge_count())) - 1
     assert partial >= 100
 
@@ -391,11 +410,11 @@ def test_uncolorable_signings_match_the_solver_on_every_small_graph():
 def test_uncolorable_signings_without_edges():
     """n = 0 has one (empty) signing and it is colorable; at n = 1 a map
     and its complement read the poor and the rich cap."""
-    assert _uncolorable_signings(WeightedInstance.uniform(SimpleGraph(0, frozenset()), P12)) == 0
+    assert uncolorable_by_windows(WeightedInstance.uniform(SimpleGraph(0, frozenset()), P12)) == 0
     lone = SimpleGraph(1, frozenset())
     for caps, bad in [((-1, -1), 1), ((-1, 0), 0), ((0, -1), 0), ((1, 2), 0)]:
         inst = WeightedInstance(lone, P12, CapacityFunction((caps,)))
-        assert _uncolorable_signings(inst) == bad, caps
+        assert uncolorable_by_windows(inst) == bad, caps
 
 
 @pytest.mark.parametrize(
@@ -417,7 +436,7 @@ def test_uncolorable_signings_with_poor_and_rich_caps_apart(caps):
         SimpleGraph.from_edges(n, itertools.combinations(range(n), 2)),
     ):
         inst = WeightedInstance(graph, params, CapacityFunction(caps))
-        assert _uncolorable_signings(inst) == _uncolorable_by_solver(inst), (graph, caps)
+        assert uncolorable_by_windows(inst) == uncolorable_by_oracle(inst), (graph, caps)
 
 
 @st.composite
@@ -436,8 +455,8 @@ def capped_instances(draw):
 @settings(max_examples=200, deadline=None)
 @given(capped_instances(), st.data())
 def test_uncolorable_signings_property(inst, data):
-    bad = _uncolorable_signings(inst)
-    assert bad == _uncolorable_by_solver(inst)
+    bad = uncolorable_by_windows(inst)
+    assert bad == uncolorable_by_oracle(inst)
     top = (1 << inst.graph.edge_count()) - 1
     for s in data.draw(st.lists(st.integers(0, top), max_size=3)):
         signing = CoverSigning.from_bits(inst.graph, s)

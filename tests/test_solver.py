@@ -23,15 +23,26 @@ from dpdefect import (
     hard_cover_signing,
     sample_covers,
 )
-from dpdefect.solver import _as_bits, _block_load, _plan, sample_signings
+from dpdefect.solver import (
+    WINDOW_BITS,
+    _Walk,
+    _as_bits,
+    _block_load,
+    _lowest_uncolorable,
+    _plan,
+    sample_signings,
+)
 from conftest import (
     build_cover_graph,
     complete_graph,
     cycle_graph,
+    first_uncolorable,
     k2,
     random_graph,
     random_instance,
     random_signing,
+    uncolorable_by_oracle,
+    uncolorable_by_windows,
 )
 
 P00 = DefectParams(0, 0)
@@ -195,32 +206,25 @@ def test_capacity_monotonicity():
         assert find_coloring(inst.with_caps(raised), signing) is not None
 
 
+def all_covers(inst, **kwargs):
+    res = colorable_all_covers(inst, **kwargs)
+    return res.witness, res.signings_examined
+
+
 def test_all_covers_k2():
     inst = WeightedInstance.uniform(k2(), P00)
-    res = colorable_all_covers(inst)
-    assert res.colorable
-    assert res.signings_examined == 2
+    assert all_covers(inst) == first_uncolorable(inst) == (None, 2)
 
 
 def test_all_covers_single_forbidden_vertex():
     inst = single_vertex(-1, -1)
-    res = colorable_all_covers(inst)
-    assert not res.colorable
-    assert res.witness == empty_signing()
-    assert res.signings_examined == 1
+    assert all_covers(inst) == first_uncolorable(inst) == (empty_signing(), 1)
 
 
 def test_all_covers_c3_witness_is_all_parallel():
     inst = WeightedInstance.uniform(cycle_graph(3), P00)
-    # oracle first: check all 8 signings x 8 maps by exhaustion
-    bad = [
-        bits
-        for bits in range(8)
-        if brute_force_oracle(inst, CoverSigning.from_bits(inst.graph, bits)) is None
-    ]
-    assert bad and bad[0] == 0
     res = colorable_all_covers(inst)
-    assert not res.colorable
+    assert (res.witness, res.signings_examined) == first_uncolorable(inst)
     assert res.witness.signs == (PARALLEL,) * 3  # lexicographically smallest
     assert res.signings_examined == 1
 
@@ -231,8 +235,109 @@ def test_all_covers_ceiling_and_iterator_bypass():
     with pytest.raises(ValueError, match="ceiling"):
         colorable_all_covers(inst, max_edges=graph.edge_count() - 1)
     few = [CoverSigning.uniform(graph, PARALLEL), CoverSigning.uniform(graph, TWISTED)]
-    res = colorable_all_covers(inst, signings=few)
-    assert res.signings_examined <= 2
+    bad = [k for k, signing in enumerate(few) if find_coloring(inst, signing) is None]
+    want = (few[bad[0]], bad[0] + 1) if bad else (None, 2)
+    assert all_covers(inst, signings=few) == want
+
+
+def host(n, edges, caps, params=DefectParams(1, 2)):
+    return WeightedInstance(
+        SimpleGraph.from_edges(n, edges), params, CapacityFunction(tuple(caps))
+    )
+
+
+def c4_beside_a_path(path_edges):
+    """A path of rich vertices with cap 2, which every signing colors, beside
+    a 4-cycle with caps (0, 0) on its highest edges, which is uncolorable
+    exactly when an odd number of its edges is twisted.  (A path with a
+    poor choice too would only slow the oracle: its search tries every
+    coloring of the path before it fails on the cycle.)"""
+    n = path_edges + 1
+    cycle = [(n, n + 1), (n + 1, n + 2), (n + 2, n + 3), (n, n + 3)]
+    return host(n + 4, [(k, k + 1) for k in range(path_edges)] + cycle,
+                [(-1, 2)] * n + [(0, 0)] * 4)
+
+
+def test_kernel_finds_the_lowest_witness_in_a_later_window():
+    inst = c4_beside_a_path(13)  # the 4-cycle's edges are 13..16
+    assert inst.graph.sorted_edges[13] == (14, 15)
+    res = colorable_all_covers(inst, max_edges=17)
+    assert (res.witness, res.signings_examined) == first_uncolorable(inst)
+    assert res.signings_examined == (1 << 13) + 1  # window 2 of 2^12 signings
+    assert _lowest_uncolorable(inst)[0] == 1 << 13
+
+
+def test_kernel_passes_a_fully_colorable_window_zero():
+    """Vertex 12 must be rich and takes one conflict.  Its edge to 14, bit
+    12 and the first window bit, conflicts when twisted, and its edge to 13,
+    bit 11, when parallel.  So window 0 is colorable and window 1 half
+    uncolorable, each bit as the oracle says."""
+    edges = [(k, k + 1) for k in range(11)] + [(12, 13), (12, 14)]
+    inst = host(15, edges, [(-1, 2)] * 12 + [(-1, 1), (-1, 1), (1, -1)])
+    walk = _Walk(inst)
+    assert (walk.width, walk.windows) == (WINDOW_BITS, 2)
+    zero, one = walk.uncolorable(0)[0], walk.uncolorable(1)[0]
+    assert zero == 0 and 0 < one < (1 << (1 << WINDOW_BITS)) - 1
+    assert zero | (one << (1 << WINDOW_BITS)) == uncolorable_by_windows(inst)
+    assert uncolorable_by_windows(inst) == uncolorable_by_oracle(inst)
+    assert all_covers(inst) == first_uncolorable(inst) == (
+        CoverSigning.from_bits(inst.graph, 1 << 12), (1 << 12) + 1
+    )
+
+
+def test_kernel_on_a_triangle_with_a_pendant_path():
+    """The triangle is uncolorable at (0, 0) with every edge parallel, so
+    the witness is signing 0 although the host has 16 edges."""
+    edges = [(0, 1), (0, 2), (1, 2)] + [(k, k + 1) for k in range(2, 15)]
+    inst = WeightedInstance.uniform(SimpleGraph.from_edges(16, edges), P00)
+    assert all_covers(inst) == first_uncolorable(inst)
+    assert all_covers(inst) == (CoverSigning.from_bits(inst.graph, 0), 1)
+
+
+@st.composite
+def wide_instances(draw):
+    """A random weighted instance with n <= 9 and 11 to 13 edges, so that
+    many span two windows, with caps down to -1 on few vertices."""
+    n = draw(st.integers(6, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=11, max_size=13))
+    i = draw(st.integers(0, 2))
+    params = DefectParams(i, draw(st.integers(max(i, 1), i + 2)))
+    caps = [(params.i, params.j)] * n
+    for v in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        caps[v] = (draw(st.integers(-1, params.i)), draw(st.integers(-1, params.j)))
+    return host(n, edges, caps, params)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_instances())
+def test_kernel_matches_the_oracle_across_windows(inst):
+    assert all_covers(inst) == first_uncolorable(inst)
+
+
+@st.composite
+def gadgets_beside_a_path(draw):
+    """A random weighted gadget on at most 4 vertices beside a path of rich
+    vertices with cap 2, which every signing colors.  The path's edges come
+    first and the gadget's last, so that its edges end at bit 12, the first
+    window bit: 13 edges in all."""
+    size = draw(st.integers(2, 4))
+    pairs = [(u, v) for u in range(size) for v in range(u + 1, size)]
+    gadget = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1))
+    n = 14 - len(gadget)
+    i = draw(st.integers(0, 2))
+    params = DefectParams(i, draw(st.integers(max(i, 2), i + 2)))
+    cap = st.tuples(st.integers(-1, params.i), st.integers(-1, params.j))
+    caps = [(-1, 2)] * n + draw(st.lists(cap, min_size=size, max_size=size))
+    edges = [(k, k + 1) for k in range(n - 1)] + [(n + u, n + v) for u, v in gadget]
+    return host(n + size, edges, caps, params)
+
+
+@settings(max_examples=5, deadline=None)
+@given(gadgets_beside_a_path())
+def test_both_windows_match_the_oracle_bit_by_bit(inst):
+    assert _Walk(inst).windows == 2
+    assert uncolorable_by_windows(inst) == uncolorable_by_oracle(inst)
 
 
 def test_sample_covers_deterministic():
@@ -446,9 +551,9 @@ def test_graphs_without_a_split_off_block_search_every_signing():
     k4 = WeightedInstance.uniform(complete_graph(4), DefectParams(1, 2))
     assert _plan(triangle.graph).blocks == () == _plan(k4.graph).blocks
     cases = [
-        (colorable_all_covers(WeightedInstance.uniform(cycle_graph(3), P00)), 1, 10),
-        (colorable_all_covers(triangle), 8, 33),
-        (colorable_all_covers(k4), 64, 440),
+        (scan_stream(WeightedInstance.uniform(cycle_graph(3), P00), range(8)), 1, 10),
+        (scan_stream(triangle, range(8)), 8, 33),
+        (scan_stream(k4, range(64)), 64, 440),
         (sample_covers(triangle, 200, 5), 200, 827),
         (sample_covers(k4, 200, 5), 200, 1348),
     ]
