@@ -3,8 +3,8 @@
 Decides (i, j)-defective colorability of simple graphs under arbitrary
 full 2-fold covers and per-vertex capacity pairs, computes potential and
 discharging quantities exactly, generates the sharp flag-path
-constructions, and certifies their criticality exactly from flag
-profiles.
+constructions, and certifies their criticality exactly from the loads
+their flags force on the path.
 """
 
 from .model import (
@@ -31,6 +31,7 @@ from .solver import (
     check_coloring,
     colorable_all_covers,
     find_coloring,
+    maximal_profiles,
     sample_covers,
 )
 from .potential import (
@@ -59,11 +60,9 @@ from .constructions import (
     edge_orbits,
     flag_path_graph,
     flag_path_instance,
-    flag_profiles,
     flag_sign_classes,
     hard_cover_signing,
     make_flag,
-    maximal_profiles,
     parallel_flag_signing,
     reduced_cover_iterator,
     twisted_flag_signing,

@@ -8,24 +8,22 @@ capacities (i, j) it meets the extremal edge/vertex count identities
 exactly, and a specific cover signing defeats every coloring.
 
 A flag meets the rest of its host only at its base, so its signs matter
-only through their profile (`flag_profiles`); the harness certifies
-flag-path hosts from profiles alone.  `reduced_cover_iterator` instead
-yields one signing per symmetry class (flag middles, and whole flags on a
-common base, are interchangeable); it stays as an independent oracle for
-the profile reduction.
+only through the load they force there (`solver.pendant_loads`); the
+harness certifies flag-path hosts from those loads alone.
+`reduced_cover_iterator` instead yields one signing per symmetry class
+(flag middles, and whole flags on a common base, are interchangeable); it
+stays as an independent oracle for the load reduction.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .model import (
     PARALLEL,
     TWISTED,
-    CapacityFunction,
     CoverSigning,
     DefectParams,
     Edge,
@@ -206,71 +204,6 @@ def flag_sign_classes(params: DefectParams) -> tuple[FlagSigning, ...]:
         for pairs in combinations_with_replacement(SIGN_PAIRS, params.i + 1):
             reps.append(FlagSigning(bt, pairs))
     return tuple(reps)
-
-
-Profile = tuple[float, float]  # fewest base conflicts for a (poor, rich) base
-
-
-def flag_profiles(
-    flag: FlagSpec, caps: CapacityFunction, deleted: Edge | None = None
-) -> dict[Profile, tuple[int, ...]]:
-    """Every profile a sign assignment of one flag can have, by brute force.
-
-    A flag meets the rest of the host only at its base, so its signs matter
-    only through their profile: for a poor and for a rich base, the fewest
-    conflicts the flag can put on the base while its top and middles stay
-    within `caps` (math.inf when they cannot).  Each profile maps to the
-    first assignment achieving it, in binary-counter order over the flag's
-    edges (`flag.edges` without `deleted`, edge k being bit k).
-    """
-    if deleted is not None and deleted not in flag.edges:
-        raise ValueError(f"edge {deleted} not in flag {flag}")
-    edges = [e for e in flag.edges if e != deleted]
-    local = {v: k for k, v in enumerate((flag.base, flag.top, *flag.middles))}
-    incident = [0] * len(local)
-    for k, (u, v) in enumerate(edges):
-        incident[local[u]] |= 1 << k
-        incident[local[v]] |= 1 << k
-    # Per base choice, every map that gives no interior vertex a -1 cap:
-    # the edges whose ends it colors differently, and per interior vertex
-    # its incident edges and capacity.  An edge conflicts iff its sign
-    # equals that difference.
-    maps: tuple[list, list] = ([], [])
-    for x in range(1 << len(local)):
-        bounds = [(incident[k], caps[v][(x >> k) & 1]) for v, k in local.items() if k]
-        if any(cap < 0 for _, cap in bounds):
-            continue
-        cross = 0
-        for k, (u, v) in enumerate(edges):
-            cross |= (((x >> local[u]) ^ (x >> local[v])) & 1) << k
-        maps[x & 1].append((cross, bounds))
-    full = (1 << len(edges)) - 1
-    base = incident[0]
-    out: dict[Profile, tuple[int, ...]] = {}
-    for signs in range(1 << len(edges)):
-        profile = []
-        for choice in maps:
-            best = math.inf
-            for cross, bounds in choice:
-                conflicts = full & ~(cross ^ signs)
-                if all((conflicts & mask).bit_count() <= cap for mask, cap in bounds):
-                    best = min(best, (conflicts & base).bit_count())
-            profile.append(best)
-        out.setdefault(tuple(profile), tuple((signs >> k) & 1 for k in range(len(edges))))
-    return out
-
-
-def maximal_profiles(profiles: Iterable[Profile]) -> list[Profile]:
-    """The pairs that no other pair dominates componentwise, in input order.
-
-    A larger profile only makes the base harder to color, so these are the
-    only profiles a search for an uncolorable signing needs to try.
-    """
-    pool = list(profiles)
-    return [
-        p for p in pool
-        if not any(q != p and q[0] >= p[0] and q[1] >= p[1] for q in pool)
-    ]
 
 
 def hard_cover_signing(spec: ConstructionSpec) -> CoverSigning:

@@ -9,7 +9,8 @@ non-colorable proper subgraph with the full edge set, and a vertex with
 caps (-1, -1) is a non-colorable proper subgraph.
 
 `is_critical` decides one instance through `colorable_all_covers` (the
-solver's map walk, or seeded draws) or from flag profiles.  The uniform
+solver's map walk, or seeded draws) or, on a flag-path host, from the
+loads its flags force on the path (`_FlagProfiles`).  The uniform
 survey asks the map walk about each graph.  The weighted survey quantifies
 over capacity functions as well, in bitsets over a graph's capacity
 functions.  Both call the solver only to cross-check each critical.
@@ -26,12 +27,9 @@ from typing import Iterable, Iterator
 from .constructions import (
     ConstructionSpec,
     FlagSpec,
-    Profile,
     edge_orbits,
     flag_path_instance,
-    flag_profiles,
     hard_cover_signing,
-    maximal_profiles,
     reduced_cover_iterator,  # noqa: F401  (bench/workloads.py calls it through here)
     verify_counts,
 )
@@ -46,9 +44,14 @@ from .model import (
 from .potential import sparsity_test, subset_potential
 from .solver import (
     DEFAULT_ENUMERATION_CEILING,
+    _caps,
     _lowest_uncolorable,
+    _SearchContext,
+    _solve,
     colorable_all_covers,
     find_coloring,
+    maximal_profiles,
+    pendant_loads,
     sample_covers,
 )
 
@@ -68,7 +71,7 @@ class Exhaustive:
 
 @dataclass(frozen=True)
 class Reduced:
-    """Certify a flag-path host from flag profiles instead of signings.
+    """Certify a flag-path host from flag loads instead of signings.
 
     `spec` must describe the instance's graph exactly, and the flags on
     each base must agree in shape and in top and middle capacities;
@@ -95,7 +98,7 @@ class CriticalityVerdict:
     failing_edge: Edge | None
     failing_vertex: int | None
     failing_witness: CoverSigning | None
-    covers_checked: int  # signings, or profile combinations under Reduced
+    covers_checked: int  # signings, or (path signing, loads) combinations under Reduced
     edges_checked: int
     nodes_expanded: int
     edge_orbit_map: tuple[tuple[Edge, ...], ...] | None
@@ -157,7 +160,7 @@ def _deleted_edge_results(work: list, workers: int) -> Iterator[tuple]:
 
 
 def _check_reduced_spec(instance: WeightedInstance, spec: ConstructionSpec) -> None:
-    """Raise ValueError unless flag profiles decide this instance exactly."""
+    """Raise ValueError unless flag loads decide this instance exactly."""
     graph, caps = instance.graph, instance.caps
     if len(spec.flags_by_base) != spec.m or any(
         f.base != base for base, flags in zip(spec.path, spec.flags_by_base) for f in flags
@@ -180,22 +183,22 @@ def _check_reduced_spec(instance: WeightedInstance, spec: ConstructionSpec) -> N
 
 class _FlagProfiles:
     """Colorability of a flag-path host, and of the host minus one edge,
-    for every signing at once.
+    for every signing at once, by the two steps of the solver's `_scan`.
 
-    Once every base has a choice, each flag puts at least its profile on
-    its base (see `flag_profiles`), and the flags on a base add up to a
-    load.  A signing is colorable iff some choice along the path keeps
-    every base within its capacity after its path conflicts and its load.
-    A larger load only makes that harder, so each base needs only the
-    loads summed from its flags' maximal profiles; intact flags on a base
-    are interchangeable, so k of them with two maximal profiles give k+1.
+    A flag meets the rest of the host only at its base, so its signs
+    matter only through the load they force there (`pendant_loads`), and
+    the flags on a base add up to a load.  A larger load only makes the
+    base harder to color, so each base needs only the loads summed from
+    its flags' maximal loads; intact flags on a base are interchangeable,
+    so k of them with two maximal loads give k+1.  A path signing with one
+    load per base is colorable iff the path's search succeeds with every
+    base's caps lowered by its load.
     """
 
     def __init__(self, instance: WeightedInstance, spec: ConstructionSpec):
         _check_reduced_spec(instance, spec)
         self.instance = instance
         self.spec = spec
-        self.caps = [instance.caps[v] for v in spec.path]
         # the first flag stands for its base: all agree in shape and caps
         self.intact = [
             self._options(flags[0], None) if flags else [] for flags in spec.flags_by_base
@@ -203,12 +206,12 @@ class _FlagProfiles:
 
     def _options(
         self, flag: FlagSpec, deleted: Edge | None
-    ) -> list[tuple[Profile, tuple[int, ...]]]:
-        profiles = flag_profiles(flag, self.instance.caps, deleted)
-        return [(p, profiles[p]) for p in maximal_profiles(profiles)]
+    ) -> list[tuple[tuple[int, int], tuple[int, ...]]]:
+        loads = pendant_loads(self.instance, flag.base, [e for e in flag.edges if e != deleted])
+        return [(p, loads[p]) for p in maximal_profiles(loads)]
 
     def _loads(self, b: int, deleted: Edge | None) -> dict[tuple[int, int], list]:
-        """Maximal loads on base b, each with the (flag, profile, signs) of
+        """Maximal loads on base b, each with the (flag, load, signs) of
         every flag there that make it up.  A load above a capacity is cut
         to capacity + 1, which fails just the same."""
         flags = self.spec.flags_by_base[b]
@@ -217,7 +220,7 @@ class _FlagProfiles:
             [(f, p, signs) for p, signs in self._options(f, deleted)]
             for f in flags if deleted in f.edges
         ]
-        cap = self.caps[b]
+        cap = self.instance.caps[self.spec.path[b]]
         loads: dict[tuple[int, int], list] = {}
         for hurt in itertools.product(*damaged):
             for multiset in itertools.combinations_with_replacement(
@@ -234,32 +237,29 @@ class _FlagProfiles:
         """An uncolorable signing of the host minus `deleted` (the first in
         path-signing then load order), or None; and the number of (path
         signing, loads) combinations decided."""
-        m = self.spec.m
-        path = [(e, k, k + 1) for k, e in enumerate(self.spec.path_edges) if e != deleted]
-        options = [list(self._loads(b, deleted).items()) for b in range(m)]
+        graph, path_vertices = self.instance.graph, self.spec.path
+        path = [(e, graph.edge_index[e]) for e in self.spec.path_edges if e != deleted]
+        ctx = _SearchContext(graph, path_vertices, [k for _, k in path])
+        options = [list(self._loads(b, deleted).items()) for b in range(self.spec.m)]
+        cap0, cap1 = _caps(self.instance)
+        signs = [0] * len(graph.sorted_edges)
         decided = 0
-        for signs in range(1 << len(path)):
-            # per path map: each base's choice and the room its path conflicts leave
-            rows = []
-            for x in range(1 << m):
-                room = [self.caps[b][(x >> b) & 1] for b in range(m)]
-                for k, (_, a, c) in enumerate(path):
-                    if ((x >> a) ^ (x >> c)) & 1 == (signs >> k) & 1:
-                        room[a] -= 1
-                        room[c] -= 1
-                rows.append([((x >> b) & 1, room[b]) for b in range(m)])
+        for bits in range(1 << len(path)):
+            for t, (_, k) in enumerate(path):
+                signs[k] = (bits >> t) & 1
             for combo in itertools.product(*options):
                 decided += 1
-                if not any(
-                    all(load[x] <= r for (x, r), (load, _) in zip(row, combo))
-                    for row in rows
-                ):
-                    return self._signing(deleted, path, signs, combo), decided
+                caps = (list(cap0), list(cap1))
+                for v, ((poor, rich), _) in zip(path_vertices, combo):
+                    caps[0][v] -= poor
+                    caps[1][v] -= rich
+                if _solve(ctx, signs, caps)[0] is None:
+                    return self._signing(deleted, path, bits, combo), decided
         return None, decided
 
-    def _signing(self, deleted, path, signs, combo) -> CoverSigning:
+    def _signing(self, deleted, path, bits, combo) -> CoverSigning:
         """The signing a path signing and a load per base stand for."""
-        table = {e: (signs >> k) & 1 for k, (e, _, _) in enumerate(path)}
+        table = {e: (bits >> t) & 1 for t, (e, _) in enumerate(path)}
         for _, picked in combo:
             for flag, _, flag_signs in picked:
                 table.update(zip((e for e in flag.edges if e != deleted), flag_signs))
@@ -276,7 +276,7 @@ class _FlagProfiles:
         inst = self.instance if deleted is None else self.instance.without_edge(deleted)
         scan = colorable_all_covers(inst, signings=(witness,))
         if scan.colorable:
-            raise RuntimeError("flag profiles and solver disagree on colorability")
+            raise RuntimeError("flag loads and solver disagree on colorability")
         return witness, decided, scan.signings_examined, scan.nodes_expanded
 
 
@@ -294,9 +294,9 @@ def is_critical(
     `colorable_all_covers`, and the solver cross-checks each witness; a
     Sampled run hands every drawn signing to the solver.  Both spread phase
     2's edges over min(workers, edges, CPUs) processes.  A Reduced run
-    decides both phases from flag profiles (`_FlagProfiles`), visits one
+    decides both phases from flag loads (`_FlagProfiles`), visits one
     deleted edge per automorphism orbit, and hands the solver only each
-    uncolorable signing the profiles rebuild; `workers` does not matter.
+    uncolorable signing the loads rebuild; `workers` does not matter.
     """
     graph = instance.graph
     certifying = not isinstance(strategy, Sampled)

@@ -1,7 +1,8 @@
 """Coloring validation and complete search over the cover space.
 
 `find_coloring` is a complete backtracking search (fixed vertex order,
-incremental defect counters, capacity pruning) of the whole graph.
+incremental defect counters, capacity pruning) of the whole graph, one
+connected component at a time.
 `brute_force_oracle` re-decides the same question by exhausting all 2^n
 maps through `check_coloring` and deliberately shares no search code with
 it.  `_lowest_uncolorable` is the only code that quantifies over every
@@ -11,7 +12,9 @@ witness to cross-check, a hard cover) goes to `_scan`, which decides one
 signing at a time: it splits the leaf blocks of the block-cut tree off into
 tables of packed loads, and searches the rest once per distinct key (its
 loads and its own signs) of a scan.  `colorable_all_covers` and
-`sample_covers` report either as a `CoverScan`.
+`sample_covers` report either as a `CoverScan`.  `pendant_loads` tabulates
+the loads of one pendant piece over all its signings, as the harness needs
+for the flags of a flag path.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from typing import Iterable, Iterator, Sequence
 from .model import (
     ColoringMap,
     CoverSigning,
+    Edge,
     SimpleGraph,
     WeightedInstance,
 )
@@ -95,9 +99,12 @@ def check_coloring(
 class _SearchContext:
     """Search order and incident edges for the vertices of one part of a
     graph.  Only the part's edges are kept; arrays are indexed by the
-    vertices of the whole graph."""
+    vertices of the whole graph.  The order is by (-degree, label) within
+    each connected component, and the components follow one another by
+    their first vertex in that order; `parts` holds the (start, end) of
+    each in `order`."""
 
-    __slots__ = ("size", "order", "nbrs")
+    __slots__ = ("size", "order", "parts", "nbrs")
 
     def __init__(self, graph: SimpleGraph, vertices: Iterable[int], edges: Iterable[int]):
         sorted_edges = graph.sorted_edges
@@ -110,8 +117,22 @@ class _SearchContext:
         nbrs: list[tuple[tuple[int, int], ...]] = [()] * graph.n
         for v, row in rows.items():
             nbrs[v] = tuple(row)
+        part = dict.fromkeys(rows, -1)
+        members: list[list[int]] = []
+        for v in sorted(rows, key=lambda v: (-len(nbrs[v]), v)):
+            if part[v] < 0:
+                part[v], stack = len(members), [v]
+                members.append([])
+                while stack:
+                    for u, _ in nbrs[stack.pop()]:
+                        if part[u] < 0:
+                            part[u] = part[v]
+                            stack.append(u)
+            members[part[v]].append(v)
+        ends = list(itertools.accumulate(map(len, members)))
         self.size = graph.n
-        self.order = tuple(sorted(rows, key=lambda v: (-len(nbrs[v]), v)))
+        self.order = tuple(itertools.chain(*members))
+        self.parts = tuple(zip([0, *ends], ends))
         self.nbrs = tuple(nbrs)
 
 
@@ -133,7 +154,9 @@ def _solve(
     """Backtracking core over the vertices of `ctx`, under `signs` (indexed
     by edge) and the poor and rich `caps` (a negative cap forbids that
     choice); returns (map or None, nodes expanded).  A map leaves the
-    vertices outside `ctx` at -1."""
+    vertices outside `ctx` at -1.  Each connected component is searched on
+    its own, so backtracking never re-colors a component that was already
+    colored when a later one fails."""
     order = ctx.order
     nbrs = ctx.nbrs
     cap0, cap1 = caps
@@ -142,55 +165,55 @@ def _solve(
     cnt = [0] * ctx.size
     nextx = [0] * n
     bumped: list[list[int] | None] = [None] * n
-    depth = 0
     nodes = 0
 
-    while True:
-        if depth == n:
-            return tuple(choice), nodes
-        v = order[depth]
-        x = nextx[depth]
-        if x == 2:
-            # both branches exhausted: undo the previous level and retry it
-            nextx[depth] = 0
-            depth -= 1
-            if depth < 0:
-                return None, nodes
-            w = order[depth]
-            bl = bumped[depth]
-            if bl:
-                for u in bl:
-                    cnt[u] -= 1
-            bumped[depth] = None
-            choice[w] = -1
-            continue
-        nextx[depth] = x + 1
-        cap = cap1[v] if x else cap0[v]
-        if cap < 0:
-            continue
-        nodes += 1
-        mycnt = 0
-        ok = True
-        bl: list[int] = []
-        for u, e in nbrs[v]:
-            xu = choice[u]
-            if xu >= 0 and (xu ^ x) == signs[e]:
-                mycnt += 1
-                if mycnt > cap:
-                    ok = False
-                    break
-                if cnt[u] + 1 > (cap1[u] if xu else cap0[u]):
-                    ok = False
-                    break
-                bl.append(u)
-        if not ok:
-            continue
-        for u in bl:
-            cnt[u] += 1
-        cnt[v] = mycnt
-        choice[v] = x
-        bumped[depth] = bl
-        depth += 1
+    for start, end in ctx.parts:
+        depth = start
+        while depth < end:
+            v = order[depth]
+            x = nextx[depth]
+            if x == 2:
+                # both branches exhausted: undo the previous level and retry it
+                nextx[depth] = 0
+                depth -= 1
+                if depth < start:
+                    return None, nodes
+                w = order[depth]
+                bl = bumped[depth]
+                if bl:
+                    for u in bl:
+                        cnt[u] -= 1
+                bumped[depth] = None
+                choice[w] = -1
+                continue
+            nextx[depth] = x + 1
+            cap = cap1[v] if x else cap0[v]
+            if cap < 0:
+                continue
+            nodes += 1
+            mycnt = 0
+            ok = True
+            bl: list[int] = []
+            for u, e in nbrs[v]:
+                xu = choice[u]
+                if xu >= 0 and (xu ^ x) == signs[e]:
+                    mycnt += 1
+                    if mycnt > cap:
+                        ok = False
+                        break
+                    if cnt[u] + 1 > (cap1[u] if xu else cap0[u]):
+                        ok = False
+                        break
+                    bl.append(u)
+            if not ok:
+                continue
+            for u in bl:
+                cnt[u] += 1
+            cnt[v] = mycnt
+            choice[v] = x
+            bumped[depth] = bl
+            depth += 1
+    return tuple(choice), nodes
 
 
 def find_coloring(
@@ -363,7 +386,7 @@ def _plan(graph: SimpleGraph) -> _Plan:
 def _block_load(
     ctx: _SearchContext,
     cut: int,
-    signs: tuple[int, ...],
+    signs: Sequence[int],
     cap0: Sequence[int],
     cap1: Sequence[int],
 ) -> tuple[tuple[int, int], int]:
@@ -386,6 +409,50 @@ def _block_load(
             load += 1
         loads.append(load)
     return (loads[0], loads[1]), nodes
+
+
+def pendant_loads(
+    instance: WeightedInstance, cut: int, edges: Sequence[Edge]
+) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Every load (`_block_load`) that some signing of a pendant piece puts
+    on its cut vertex, each with the first signs that give it, in
+    binary-counter order over `edges` (edge k is bit k).
+
+    The piece is `edges` and their ends; like a leaf block, it must meet
+    the rest of the graph only at `cut`, so that its signs matter only
+    through its load.  A load is capped at the cut vertex's cap + 1.
+    """
+    graph = instance.graph
+    missing = [e for e in edges if e not in graph.edge_index]
+    if missing:
+        raise ValueError(f"edge {missing[0]} not in the graph")
+    vertices = {v for e in edges for v in e}
+    if cut not in vertices:
+        raise ValueError(f"cut vertex {cut} is not an end of the piece's edges")
+    index = [graph.edge_index[e] for e in edges]
+    ctx = _SearchContext(graph, vertices, index)
+    cap0, cap1 = _caps(instance)
+    signs = [0] * len(graph.sorted_edges)
+    loads: dict[tuple[int, int], tuple[int, ...]] = {}
+    for bits in range(1 << len(index)):
+        piece = tuple((bits >> k) & 1 for k in range(len(index)))
+        for k, s in zip(index, piece):
+            signs[k] = s
+        loads.setdefault(_block_load(ctx, cut, signs, cap0, cap1)[0], piece)
+    return loads
+
+
+def maximal_profiles(profiles: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The pairs that no other pair dominates componentwise, in input order.
+
+    A larger load only makes the cut vertex harder to color, so these are
+    the only loads a search for an uncolorable signing needs to try.
+    """
+    pool = list(profiles)
+    return [
+        p for p in pool
+        if not any(q != p and q[0] >= p[0] and q[1] >= p[1] for q in pool)
+    ]
 
 
 def _scan(instance: WeightedInstance, signings: Iterable[int]) -> CoverScan:

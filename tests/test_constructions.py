@@ -21,7 +21,6 @@ from dpdefect import (
     find_coloring,
     flag_path_graph,
     flag_path_instance,
-    flag_profiles,
     flag_sign_classes,
     hard_cover_signing,
     make_flag,
@@ -33,6 +32,7 @@ from dpdefect import (
     verify_counts,
 )
 from dpdefect.discharging import SURPLUS
+from dpdefect.solver import pendant_loads
 
 P12 = DefectParams(1, 2)
 
@@ -197,36 +197,39 @@ def test_twisted_flag_forces_one_conflict_at_poor_base():
         assert _min_base_conflicts(params, twisted_flag_signing(params), RICH) == 0
 
 
-def test_flag_profiles_match_the_brute_force_base_conflicts():
+def test_pendant_loads_match_the_brute_force_base_conflicts():
     for params in (P12, DefectParams(2, 4)):
         graph, _, flag = one_flag_host(params)
-        caps = WeightedInstance.uniform(graph, params).caps
-        profiles = flag_profiles(flag, caps)
-        want = set()
-        for signing in flag_sign_classes(params):
-            want.add(tuple(
-                math.inf if c is None else c
-                for c in (_min_base_conflicts(params, signing, x) for x in (0, RICH))
-            ))
-        assert set(profiles) == want == {(0, 0), (0, 1), (1, 0)}
-        for profile, signs in profiles.items():
-            signing = FlagSigning(signs[0], tuple(zip(signs[1::2], signs[2::2])))
-            got = tuple(_min_base_conflicts(params, signing, x) for x in (0, RICH))
-            assert got == profile
-        assert maximal_profiles(profiles) == [(0, 1), (1, 0)]
+        inst = WeightedInstance.uniform(graph, params)
+        loads = pendant_loads(inst, flag.base, flag.edges)
+
+        def load(signing):
+            # no valid completion reads as the base's cap + 1
+            conflicts = (_min_base_conflicts(params, signing, x) for x in (0, RICH))
+            return tuple(
+                cap + 1 if c is None else c for cap, c in zip(inst.caps[flag.base], conflicts)
+            )
+
+        want = {load(signing) for signing in flag_sign_classes(params)}
+        assert set(loads) == want == {(0, 0), (0, 1), (1, 0)}
+        for got, signs in loads.items():
+            assert load(FlagSigning(signs[0], tuple(zip(signs[1::2], signs[2::2])))) == got
+        assert maximal_profiles(loads) == [(0, 1), (1, 0)]
 
 
-def test_flag_profiles_of_damaged_and_starved_flags():
+def test_pendant_loads_of_damaged_and_starved_flags():
     graph, _, flag = one_flag_host(P12)
-    caps = WeightedInstance.uniform(graph, P12).caps
+    inst = WeightedInstance.uniform(graph, P12)
     for edge in flag.edges:
-        assert set(flag_profiles(flag, caps, edge)) == {(0, 0)}
-    with pytest.raises(ValueError):
-        flag_profiles(flag, caps, (0, 99))
-    starved = CapacityFunction(((1, 2), (-1, -1), (1, 2), (1, 2)))
-    assert set(flag_profiles(flag, starved)) == {(math.inf, math.inf)}
+        assert set(pendant_loads(inst, 0, [e for e in flag.edges if e != edge])) == {(0, 0)}
+    with pytest.raises(ValueError, match="not in the graph"):
+        pendant_loads(inst, 0, [*flag.edges, (0, 99)])
+    with pytest.raises(ValueError, match="not an end"):
+        pendant_loads(inst, 0, flag.edges[-1:])
+    starved = inst.with_caps(((1, 2), (-1, -1), (1, 2), (1, 2)))
+    assert set(pendant_loads(starved, 0, flag.edges)) == {(2, 3)}  # the base's caps + 1
     assert maximal_profiles([(0, 1), (1, 0), (1, 1), (0, 0)]) == [(1, 1)]
-    assert maximal_profiles([(math.inf, 0), (0, 1), (1, 0)]) == [(math.inf, 0), (0, 1)]
+    assert maximal_profiles([(2, 0), (0, 1), (1, 0)]) == [(2, 0), (0, 1)]
 
 
 def _orbit_count_by_exhaustion(i: int) -> int:

@@ -911,6 +911,38 @@ def test_reduced_certifies_flag_path_hosts(i, j, m):
     assert find_coloring(inst, verdict.witness) is None
 
 
+# Reduced certification of every `verify` grid host: per (i, j), for m = 1, 2, 3,
+# (covers_checked, nodes_expanded, the first 16 hex digits of the sha256 of the
+# witness's signs as bytes); solver_signings is 1 and edges_checked 4m - 1.
+REDUCED_GRID = {
+    (1, 2): ((7, 95, "88cb8111c3e9abdc"), (90, 116, "24893dc24a1e7941"),
+             (456, 138, "2d388c84e977d6c8")),
+    (1, 3): ((7, 114, "e35c7a0f3bfb83cc"), (90, 135, "5198ad0ef2d1f471"),
+             (456, 157, "53b8dc31720eded6")),
+    (1, 4): ((7, 133, "3c3c3fbef72c8d86"), (90, 154, "8f7367f49f9c4ee7"),
+             (456, 176, "919e1582badd24d1")),
+    (2, 4): ((7, 192, "ec8c686bae77a09b"), (124, 242, "c4c3ccf39fe5a30d"),
+             (984, 293, "f643d5a1c6f7da33")),
+    (2, 5): ((7, 216, "e88c37761a9ec921"), (124, 266, "e5932c9f99611f2b"),
+             (984, 317, "e1fcc0509090df3a")),
+    (2, 6): ((7, 240, "a7e6c6a192b12b27"), (124, 290, "aa65aad157ffc859"),
+             (984, 341, "cc0c9ce143ef40d7")),
+}
+
+
+def test_reduced_counters_and_witnesses_are_pinned_on_the_grid():
+    for (i, j), pins in REDUCED_GRID.items():
+        for m, (covers, nodes, digest) in enumerate(pins, 1):
+            inst, spec = flag_path_instance(DefectParams(i, j), m)
+            verdict = is_critical(inst, Reduced(spec))
+            got = (
+                verdict.verdict, verdict.covers_checked, verdict.nodes_expanded,
+                verdict.solver_signings, verdict.edges_checked,
+                hashlib.sha256(bytes(verdict.witness.signs)).hexdigest()[:16],
+            )
+            assert got == (CRITICAL, covers, nodes, 1, 4 * m - 1, digest), (i, j, m)
+
+
 def test_reduced_verdict_ignores_workers():
     inst, spec = flag_path_instance(P12, 2)
     assert is_critical(inst, Reduced(spec)) == is_critical(inst, Reduced(spec), workers=2)

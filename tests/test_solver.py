@@ -441,6 +441,27 @@ def test_plan_tabulates_leaf_blocks_with_under_half_the_edges():
     assert (plan.blocks, plan.core_mask, plan.memoise) == ((), 7, False)
 
 
+def test_each_component_is_searched_on_its_own():
+    # a 12-vertex path at caps (1, 2) beside a triangle at caps (0, 0), all
+    # parallel: the triangle fails alone in 10 nodes, and the search must not
+    # walk the path's colorings before giving up
+    edges = [(k, k + 1) for k in range(11)] + [(12, 13), (12, 14), (13, 14)]
+    graph = SimpleGraph.from_edges(15, edges)
+    inst = WeightedInstance(
+        graph, DefectParams(1, 2), CapacityFunction(((1, 2),) * 12 + ((0, 0),) * 3)
+    )
+    signing = CoverSigning.from_bits(graph, 0)
+    assert brute_force_oracle(inst, signing) is None
+    assert find_coloring(inst, signing) is None
+    scan = colorable_all_covers(inst, signings=(signing,))
+    assert not scan.colorable
+    assert scan.nodes_expanded < 100
+    # with the triangle colorable, both components are colored in one map
+    loose = inst.with_caps(((1, 2),) * 12 + ((1, 2),) * 3)
+    cmap = find_coloring(loose, signing)
+    assert cmap is not None and check_coloring(loose, signing, cmap) is None
+
+
 def test_sample_covers_matches_a_plain_search_loop():
     host, _ = flag_path_instance(DefectParams(1, 2), 1)
     triangle = WeightedInstance.uniform(cycle_graph(3), P00)
