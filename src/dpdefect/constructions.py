@@ -18,6 +18,7 @@ stays as an independent oracle for the load reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement, product
 from typing import Iterator
 
@@ -71,7 +72,7 @@ class FlagSpec:
     def top_middle_edge(self, k: int) -> Edge:
         return _normalize_edge(self.top, self.middles[k])
 
-    @property
+    @cached_property  # read inside the reduced certifier's loops
     def edges(self) -> tuple[Edge, ...]:
         out = [self.base_top_edge]
         for k in range(len(self.middles)):

@@ -13,7 +13,8 @@ solver's map walk, or seeded draws) or, on a flag-path host, from the
 loads its flags force on the path (`_FlagProfiles`).  The uniform
 survey asks the map walk about each graph.  The weighted survey quantifies
 over capacity functions as well, in bitsets over a graph's capacity
-functions.  Both call the solver only to cross-check each critical.
+functions.  Both call the solver only to cross-check each critical, and
+both read its potential from a closed form (`_whole_potential`).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .constructions import (
     verify_counts,
 )
 from .model import (
-    CapacityFunction,
     CoverSigning,
     DefectParams,
     Edge,
@@ -45,8 +45,10 @@ from .potential import sparsity_test, subset_potential
 from .solver import (
     DEFAULT_ENUMERATION_CEILING,
     _caps,
+    _context,
     _lowest_uncolorable,
     _SearchContext,
+    _sign_tuple,
     _solve,
     colorable_all_covers,
     find_coloring,
@@ -652,6 +654,19 @@ class _WeightedTables:
             yield head[high] + tail[rest], witness[r]
 
 
+def _whole_potential(
+    params: DefectParams, caps: tuple[tuple[int, int], ...], m: int
+) -> int:
+    """rho of the whole vertex set of an m-edge graph under `caps`: the sum
+    of the vertex potentials i - j + 1 + c1 + c2 minus (i + 1) per edge,
+    which is `subset_potential(instance, range(n))` with no instance."""
+    return (
+        sum(map(sum, caps))
+        + len(caps) * (params.i - params.j + 1)
+        - (params.i + 1) * m
+    )
+
+
 def enumerate_critical(
     params: DefectParams, n: int, mode: str = MODE_UNIFORM
 ) -> EnumerationReport:
@@ -671,8 +686,11 @@ def enumerate_critical(
     ceiling, deciding each graph's pairs at once (`_WeightedTables`); the
     graphs with an isolated vertex are skipped, exactly, when n >= 2, but
     `pairs_examined` counts their pairs.  In both modes the solver must
-    fail to color each critical's smallest uncolorable signing.  Criticals
-    are listed in graphs_up_to_iso order (then, weighted, in
+    fail to color each critical's smallest uncolorable signing; weighted,
+    that is one search per critical on the graph's search context, which
+    is built once per graph, with each witness's signs built once.  A
+    critical's rho is that of its whole vertex set (`_whole_potential`).
+    Criticals are listed in graphs_up_to_iso order (then, weighted, in
     itertools.product order of the caps).
     """
     if mode not in (MODE_UNIFORM, MODE_WEIGHTED):
@@ -720,9 +738,10 @@ def enumerate_critical(
             )
             if not (mask in critical or sparse_bad):
                 continue
-            instance = WeightedInstance.uniform(graph, params)
-            rho = subset_potential(instance, range(n))
-            entry = CriticalEntry(graph.sorted_edges, instance.caps.pairs, rho)
+            caps = ((i, j),) * n
+            entry = CriticalEntry(
+                graph.sorted_edges, caps, _whole_potential(params, caps, graph.edge_count())
+            )
             if sparse_bad:
                 sparsity_violations.append(entry)
             if mask in critical:
@@ -733,14 +752,15 @@ def enumerate_critical(
         for graph in graphs:
             tables = _WeightedTables(graph, params)
             pairs_examined += len(tables.caps) ** n
-            signings: dict[int, CoverSigning] = {}  # many criticals share a witness
+            ctx, m = _context(graph), tables.m
+            signs: dict[int, tuple[int, ...]] = {}  # many criticals share a witness
             for caps, witness in tables.criticals():
-                if witness not in signings:
-                    signings[witness] = CoverSigning.from_bits(graph, witness)
-                instance = WeightedInstance(graph, params, CapacityFunction(caps))
-                if find_coloring(instance, signings[witness]) is not None:
+                if witness not in signs:
+                    signs[witness] = _sign_tuple(witness, m)
+                poor, rich = zip(*caps)  # n >= 1: n = 0 yields nothing
+                if _solve(ctx, signs[witness], (poor, rich))[0] is not None:
                     raise RuntimeError("defect bitsets and solver disagree on colorability")
-                rho = subset_potential(instance, range(n))
+                rho = _whole_potential(params, caps, m)
                 criticals.append(CriticalEntry(graph.sorted_edges, caps, rho))
 
     potential_violations = [

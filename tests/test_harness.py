@@ -541,6 +541,7 @@ def test_enumerate_weighted_n4():
         (DefectParams(0, 1), 4, 14256, 160, 3, "2b1b00cf65c713be"),
         (DefectParams(1, 3), 4, 556875, 15981, 3, "c770f89b8776f174"),
         (DefectParams(2, 4), 3, 55296, 2143, 2, "23fe5ac59fc4dbf5"),
+        (DefectParams(2, 4), 4, 3649536, 79941, 3, "f77d8290c51a51d2"),
     ],
     ids=str,
 )
@@ -681,9 +682,53 @@ def test_weighted_criticals_property(pair):
 
 
 def test_weighted_cross_check_rejects_a_colorable_witness(monkeypatch):
-    monkeypatch.setattr(harness, "find_coloring", lambda inst, signing: (0,) * inst.n)
-    with pytest.raises(RuntimeError):
+    """The kernel also yields caps (i, j) everywhere on K2 with the
+    all-parallel signing, which the solver colors."""
+    criticals = harness._WeightedTables.criticals
+
+    def with_a_colorable_pair(tables):
+        yield from criticals(tables)
+        if tables.m == 1:
+            yield ((P12.i, P12.j),) * 2, 0
+
+    monkeypatch.setattr(harness._WeightedTables, "criticals", with_a_colorable_pair)
+    with pytest.raises(RuntimeError, match="disagree on colorability"):
         enumerate_critical(P12, 2, mode="weighted")
+
+
+def test_weighted_survey_solves_every_critical_once(monkeypatch):
+    """One solver search per critical, and none of them finds a map."""
+    solve, found = harness._solve, []
+
+    def counted(ctx, signs, caps):
+        result = solve(ctx, signs, caps)
+        found.append(result[0])
+        return result
+
+    monkeypatch.setattr(harness, "_solve", counted)
+    rep = enumerate_critical(P12, 4, mode="weighted")
+    assert len(found) == len(rep.criticals) == 6372
+    assert found == [None] * len(found)
+
+
+def _assert_rho_is_the_whole_set_potential(rep):
+    for c in rep.criticals:
+        inst = WeightedInstance(
+            SimpleGraph.from_edges(rep.n, c.edges), rep.params, CapacityFunction(c.caps)
+        )
+        assert c.rho == subset_potential(inst, range(rep.n)), c
+
+
+@pytest.mark.parametrize("params,top", [(P12, 4), (DefectParams(2, 4), 3)], ids=str)
+def test_weighted_rho_closed_form_matches_subset_potential(params, top):
+    for n in range(top + 1):
+        _assert_rho_is_the_whole_set_potential(enumerate_critical(params, n, mode="weighted"))
+
+
+def test_uniform_rho_closed_form_matches_subset_potential():
+    rep = enumerate_critical(P12, 6, mode="uniform")
+    assert [c.rho for c in rep.criticals] == [-6, -6, -8]
+    _assert_rho_is_the_whole_set_potential(rep)
 
 
 def _naive_colorable_all(inst):
