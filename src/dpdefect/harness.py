@@ -13,8 +13,9 @@ solver's map walk, or seeded draws) or, on a flag-path host, from the
 loads its flags force on the path (`_FlagProfiles`).  The uniform
 survey asks the map walk about each graph.  The weighted survey quantifies
 over capacity functions as well, in bitsets over a graph's capacity
-functions.  Both call the solver only to cross-check each critical, and
-both read its potential from a closed form (`_whole_potential`).
+functions.  Both call the solver only to cross-check criticals (the
+weighted survey only the maximal caps of each witness group), and both
+read a critical's potential from a closed form (`_whole_potential`).
 """
 
 from __future__ import annotations
@@ -561,6 +562,18 @@ class _WeightedTables:
     edge, and every G - e keeps the vertex with that cap, which cannot be
     colored alone, so phase 2 drops the pair.  At n = 1 the only proper
     subgraph is the empty graph, and ((-1, -1),) is critical.
+
+    A signing uncolorable under caps d is uncolorable under every c <= d
+    (pointwise), since a map valid under c stays valid under d.  So the
+    solver need not cross-check every critical: `maximal` keeps those with
+    no critical of the same witness one step above (one cap raised by one
+    at one vertex).  A dropped critical climbs by such steps, through
+    criticals of its witness, to a kept one, where a search that finds no
+    map shows there is none below it either.  The kept caps are exactly
+    the maximal ones of each witness group, as a group is convex: caps b
+    between criticals c <= d of witness w are critical with witness w,
+    since w stays uncolorable below d, every G - e stays colorable above
+    c, and a signing below w uncolorable under b would be so under c.
     """
 
     def __init__(self, graph: SimpleGraph, params: DefectParams):
@@ -653,6 +666,30 @@ class _WeightedTables:
             high, rest = divmod(r, low)
             yield head[high] + tail[rest], witness[r]
 
+    def maximal(
+        self, found: list[tuple[tuple[tuple[int, int], ...], int]]
+    ) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
+        """The pairs of `found` (as `criticals` yields them) with no pair
+        of `found` one step above them with the same witness: one cap
+        raised by one at one vertex, rank + K^(n-1-v) for the rich cap and
+        rank + (j+2) K^(n-1-v) for the poor one."""
+        size, (i, j) = len(self.caps), self.caps[-1]
+        digit = {cap: k for k, cap in enumerate(self.caps)}
+        steps = [(size**v, (j + 2) * size**v) for v in reversed(range(self.n))]
+        ranks = []
+        for caps, _ in found:
+            r = 0
+            for cap in caps:
+                r = r * size + digit[cap]
+            ranks.append(r)
+        witness_of = dict(zip(ranks, (w for _, w in found))).get
+        for r, (caps, w) in zip(ranks, found):
+            for (c1, c2), (rich, poor) in zip(caps, steps):
+                if c2 < j and witness_of(r + rich) == w or c1 < i and witness_of(r + poor) == w:
+                    break
+            else:
+                yield caps, w
+
 
 def _whole_potential(
     params: DefectParams, caps: tuple[tuple[int, int], ...], m: int
@@ -686,10 +723,14 @@ def enumerate_critical(
     ceiling, deciding each graph's pairs at once (`_WeightedTables`); the
     graphs with an isolated vertex are skipped, exactly, when n >= 2, but
     `pairs_examined` counts their pairs.  In both modes the solver must
-    fail to color each critical's smallest uncolorable signing; weighted,
-    that is one search per critical on the graph's search context, which
-    is built once per graph, with each witness's signs built once.  A
-    critical's rho is that of its whole vertex set (`_whole_potential`).
+    fail to color a critical's smallest uncolorable signing.  Weighted, it
+    searches only the criticals with no critical of the same witness one
+    step above (`_WeightedTables.maximal`): lowering a cap never makes an
+    uncolorable signing colorable, so a search that finds no map at the
+    top of such a chain covers the whole chain.  The searches run on the
+    graph's search context, built once per graph, with each witness's
+    signs built once.  A critical's rho is that of its whole vertex set
+    (`_whole_potential`).
     Criticals are listed in graphs_up_to_iso order (then, weighted, in
     itertools.product order of the caps).
     """
@@ -754,14 +795,16 @@ def enumerate_critical(
             pairs_examined += len(tables.caps) ** n
             ctx, m = _context(graph), tables.m
             signs: dict[int, tuple[int, ...]] = {}  # many criticals share a witness
-            for caps, witness in tables.criticals():
+            found = list(tables.criticals())
+            for caps, _ in found:
+                rho = _whole_potential(params, caps, m)
+                criticals.append(CriticalEntry(graph.sorted_edges, caps, rho))
+            for caps, witness in tables.maximal(found):
                 if witness not in signs:
                     signs[witness] = _sign_tuple(witness, m)
                 poor, rich = zip(*caps)  # n >= 1: n = 0 yields nothing
                 if _solve(ctx, signs[witness], (poor, rich))[0] is not None:
                     raise RuntimeError("defect bitsets and solver disagree on colorability")
-                rho = _whole_potential(params, caps, m)
-                criticals.append(CriticalEntry(graph.sorted_edges, caps, rho))
 
     potential_violations = [
         e for e in criticals if in_guaranteed_range(params) and e.rho > ceiling

@@ -696,19 +696,82 @@ def test_weighted_cross_check_rejects_a_colorable_witness(monkeypatch):
         enumerate_critical(P12, 2, mode="weighted")
 
 
-def test_weighted_survey_solves_every_critical_once(monkeypatch):
-    """One solver search per critical, and none of them finds a map."""
-    solve, found = harness._solve, []
+def test_weighted_cover_rule_honours_the_witness(monkeypatch):
+    """The kernel also yields, on the path 1 - 0 - 2, caps one step below
+    the critical ((-1, 1),) * 3 with signing 3, which the solver colors.
+    The critical above has witness 0, not 3, so it does not cover them:
+    they are searched, and the survey fails."""
+    path = SimpleGraph.from_edges(3, [(0, 1), (0, 2)])
+    below, above = ((-1, 0), (-1, 1), (-1, 1)), ((-1, 1),) * 3
+    inst = WeightedInstance(path, P12, CapacityFunction(below))
+    assert find_coloring(inst, CoverSigning.from_bits(path, 3)) is not None
+    criticals = harness._WeightedTables.criticals
 
-    def counted(ctx, signs, caps):
+    def with_a_colorable_pair(tables):
+        found = dict(criticals(tables))
+        yield from found.items()
+        if tables.m == 2:  # the path, the only 2-edge graph at n = 3
+            assert found[above] == 0 and below not in found
+            yield below, 3
+
+    monkeypatch.setattr(harness._WeightedTables, "criticals", with_a_colorable_pair)
+    with pytest.raises(RuntimeError, match="disagree on colorability"):
+        enumerate_critical(P12, 3, mode="weighted")
+
+
+def _at_most(low, high):
+    return all(a <= b and c <= d for (a, c), (b, d) in zip(low, high))
+
+
+def test_weighted_survey_searches_the_maximal_caps_of_each_witness_group(monkeypatch):
+    """At (1, 2) n = 4 the survey searches 1,187 of its 6,372 criticals:
+    the maximal caps of each (graph, witness) group, found here by
+    comparing every pair of the group.  Every critical lies pointwise
+    below a searched one with its witness, and no search finds a map."""
+    solve, context, searched, graph_of = harness._solve, harness._context, [], {}
+
+    def recorded_context(graph):
+        ctx = context(graph)
+        graph_of[id(ctx)] = graph
+        return ctx
+
+    def recorded(ctx, signs, caps):
         result = solve(ctx, signs, caps)
-        found.append(result[0])
+        witness = sum(s << k for k, s in enumerate(signs))
+        searched.append((graph_of[id(ctx)].sorted_edges, witness, tuple(zip(*caps))))
+        assert result[0] is None
         return result
 
-    monkeypatch.setattr(harness, "_solve", counted)
+    monkeypatch.setattr(harness, "_context", recorded_context)
+    monkeypatch.setattr(harness, "_solve", recorded)
     rep = enumerate_critical(P12, 4, mode="weighted")
-    assert len(found) == len(rep.criticals) == 6372
-    assert found == [None] * len(found)
+    assert len(rep.criticals) == 6372 and len(searched) == len(set(searched)) == 1187
+
+    groups = collections.defaultdict(list)
+    for graph in graphs_up_to_iso(4):
+        for caps, witness in _WeightedTables(graph, P12).criticals():
+            groups[graph.sorted_edges, witness].append(caps)
+    maximal = {
+        (*key, caps)
+        for key, group in groups.items()
+        for caps in group
+        if not any(other != caps and _at_most(caps, other) for other in group)
+    }
+    assert set(searched) == maximal
+    for (edges, witness), group in groups.items():
+        tops = [caps for e, w, caps in searched if (e, w) == (edges, witness)]
+        assert all(any(_at_most(caps, top) for top in tops) for caps in group)
+
+
+@pytest.mark.parametrize("params,top", [(P12, 4), (DefectParams(2, 4), 3)], ids=str)
+def test_every_weighted_critical_is_uncolorable_under_its_witness(params, top):
+    """The survey searches only the maximal caps of each witness group;
+    here every critical gets its own search."""
+    for n in range(top + 1):
+        for graph in graphs_up_to_iso(n):
+            for caps, witness in _WeightedTables(graph, params).criticals():
+                inst = WeightedInstance(graph, params, CapacityFunction(caps))
+                assert find_coloring(inst, CoverSigning.from_bits(graph, witness)) is None
 
 
 def _assert_rho_is_the_whole_set_potential(rep):

@@ -206,6 +206,36 @@ def test_capacity_monotonicity():
         assert find_coloring(inst.with_caps(raised), signing) is not None
 
 
+@st.composite
+def instances_and_signings(draw):
+    """A random weighted instance with n <= 6, caps down to -1, and one
+    signing of it."""
+    n = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10)) if pairs else []
+    i = draw(st.integers(0, 2))
+    params = DefectParams(i, draw(st.integers(i, i + 3)))
+    cap = st.tuples(st.integers(-1, params.i), st.integers(-1, params.j))
+    inst = host(n, edges, draw(st.lists(cap, min_size=n, max_size=n)), params)
+    bits = draw(st.integers(0, (1 << len(edges)) - 1))
+    return inst, CoverSigning.from_bits(inst.graph, bits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances_and_signings())
+def test_lowering_one_cap_keeps_a_signing_uncolorable(pair):
+    """A valid map under lower caps stays valid under higher ones, so a
+    signing with no map keeps none when any one cap drops by one."""
+    inst, signing = pair
+    assume(find_coloring(inst, signing) is None)
+    caps = inst.caps.pairs
+    for v, (c1, c2) in enumerate(caps):
+        for lowered in ((c1 - 1, c2), (c1, c2 - 1)):
+            if min(lowered) >= -1:
+                lower = inst.with_caps(caps[:v] + (lowered,) + caps[v + 1 :])
+                assert find_coloring(lower, signing) is None, (v, lowered)
+
+
 def all_covers(inst, **kwargs):
     res = colorable_all_covers(inst, **kwargs)
     return res.witness, res.signings_examined
