@@ -11,11 +11,13 @@ caps (-1, -1) is a non-colorable proper subgraph.
 `is_critical` decides one instance through `colorable_all_covers` (the
 solver's map walk, or seeded draws) or, on a flag-path host, from the
 loads its flags force on the path (`_FlagProfiles`).  The uniform
-survey asks the map walk about each graph.  The weighted survey quantifies
-over capacity functions as well, in bitsets over a graph's capacity
-functions.  Both call the solver only to cross-check criticals (the
-weighted survey only the maximal caps of each witness group), and both
-read a critical's potential from a closed form (`_whole_potential`).
+survey decides the graphs from the most edges down: a graph with a
+colorable G + e is colorable, and the map walk decides each other graph.
+The weighted survey quantifies over capacity functions as well, in bitsets
+over a graph's capacity functions.  Both call the solver only to
+cross-check criticals (the weighted survey only the maximal caps of each
+witness group), and both read a critical's potential from a closed form
+(`_whole_potential`).
 """
 
 from __future__ import annotations
@@ -711,26 +713,27 @@ def enumerate_critical(
 
     Uniform mode fixes capacities at (i, j) everywhere and checks, inside
     the claimed parameter range, the minimum-edge bound and that no sparse
-    graph turns out non-colorable.  The graphs are decided one edge count
-    at a time as `_iso_levels` grows them, each with its recorded parents,
-    the classes of its G - e, decided already.  A graph with an
-    uncolorable parent is uncolorable and not critical (deleting an edge
-    never makes a signing harder to color).  Otherwise every G - e is
-    colorable, the solver's map walk (`_lowest_uncolorable`) decides G, and
-    an uncolorable G is critical iff (with n >= 2) it has no isolated
-    vertex.  Weighted mode sweeps every capacity function (n <= 5) and
-    records any critical pair whose potential exceeds the i - j - 1
-    ceiling, deciding each graph's pairs at once (`_WeightedTables`); the
-    graphs with an isolated vertex are skipped, exactly, when n >= 2, but
-    `pairs_examined` counts their pairs.  In both modes the solver must
-    fail to color a critical's smallest uncolorable signing.  Weighted, it
-    searches only the criticals with no critical of the same witness one
-    step above (`_WeightedTables.maximal`): lowering a cap never makes an
-    uncolorable signing colorable, so a search that finds no map at the
-    top of such a chain covers the whole chain.  The searches run on the
-    graph's search context, built once per graph, with each witness's
-    signs built once.  A critical's rho is that of its whole vertex set
-    (`_whole_potential`).
+    graph turns out non-colorable.  `_iso_levels` records each class's
+    parents, the classes of its G - e, and the classes are decided from the
+    most edges down.  Deleting an edge never makes a signing harder to
+    color, so a class that is a recorded parent of a colorable class is
+    colorable, with no walk; the solver's map walk (`_lowest_uncolorable`)
+    decides every other class.  An uncolorable class has no colorable
+    child, so each one is walked and has its lowest uncolorable signing.
+    It is critical iff none of its parents is uncolorable and (with
+    n >= 2) it has no isolated vertex.  Weighted mode sweeps every capacity
+    function (n <= 5) and records any critical pair whose potential exceeds
+    the i - j - 1 ceiling, deciding each graph's pairs at once
+    (`_WeightedTables`); the graphs with an isolated vertex are skipped,
+    exactly, when n >= 2, but `pairs_examined` counts their pairs.  In both
+    modes the solver must fail to color a critical's smallest uncolorable
+    signing.  Weighted, it searches only the criticals with no critical of
+    the same witness one step above (`_WeightedTables.maximal`): lowering a
+    cap never makes an uncolorable signing colorable, so a search that
+    finds no map at the top of such a chain covers the whole chain.  The
+    searches run on the graph's search context, built once per graph, with
+    each witness's signs built once.  A critical's rho is that of its whole
+    vertex set (`_whole_potential`).
     Criticals are listed in graphs_up_to_iso order (then, weighted, in
     itertools.product order of the caps).
     """
@@ -749,43 +752,42 @@ def enumerate_critical(
 
     if mode == MODE_UNIFORM:
         pairs = _vertex_pairs(n)
-        graphs_by_mask: dict[int, SimpleGraph] = {}
-        uncolorable: set[int] = set()
-        critical: set[int] = set()
-        # Level by level, so every parent is decided before its children.
-        for level in _iso_levels(n):
-            for mask, (parents, _) in level.items():
-                graph = graphs_by_mask[mask] = _graph_of(n, mask, pairs)
-                if not uncolorable.isdisjoint(parents):
-                    uncolorable.add(mask)  # it contains an uncolorable G - e
-                    continue
-                instance = WeightedInstance.uniform(graph, params)
+        parents_of = {
+            mask: parents for level in _iso_levels(n) for mask, (parents, _) in level.items()
+        }
+        # Most edges first (the levels ascend), so every class whose recorded
+        # parents include G is decided before G.
+        uncolorable: dict[int, tuple[WeightedInstance, int]] = {}
+        has_colorable_child: set[int] = set()
+        for mask in reversed(parents_of):
+            if mask not in has_colorable_child:
+                instance = WeightedInstance.uniform(_graph_of(n, mask, pairs), params)
                 lowest, _ = _lowest_uncolorable(instance)
-                if lowest is None:
+                if lowest is not None:
+                    uncolorable[mask] = instance, lowest
                     continue
-                uncolorable.add(mask)
-                if n >= 2 and any(graph.degree(v) == 0 for v in range(n)):
-                    continue
+            # G is colorable, and so is every G - e
+            has_colorable_child.update(parents_of[mask])
+        graphs_examined = pairs_examined = len(parents_of)
+        caps = ((i, j),) * n
+        for mask, (instance, lowest) in sorted(uncolorable.items()):
+            graph = instance.graph
+            critical = uncolorable.keys().isdisjoint(parents_of[mask]) and not (
+                n >= 2 and any(graph.degree(v) == 0 for v in range(n))
+            )
+            if critical:
                 witness = CoverSigning.from_bits(graph, lowest)
                 if find_coloring(instance, witness) is not None:
                     raise RuntimeError("map walk and solver disagree on colorability")
-                critical.add(mask)
-        graphs_examined = pairs_examined = len(graphs_by_mask)
-        for mask, graph in sorted(graphs_by_mask.items()):
-            sparse_bad = (
-                in_guaranteed_range(params)
-                and mask in uncolorable
-                and sparsity_test(graph, params).sparse
-            )
-            if not (mask in critical or sparse_bad):
+            sparse_bad = in_guaranteed_range(params) and sparsity_test(graph, params).sparse
+            if not (critical or sparse_bad):
                 continue
-            caps = ((i, j),) * n
             entry = CriticalEntry(
                 graph.sorted_edges, caps, _whole_potential(params, caps, graph.edge_count())
             )
             if sparse_bad:
                 sparsity_violations.append(entry)
-            if mask in critical:
+            if critical:
                 criticals.append(entry)
     else:
         graphs = graphs_up_to_iso(n)

@@ -332,44 +332,76 @@ def test_kernel_matches_the_oracle_on_every_small_class(i, j):
             assert (scan.witness, scan.signings_examined) == first_uncolorable(inst), graph
 
 
-def test_inherited_graphs_are_uncolorable(monkeypatch):
-    """The survey walks no map for a graph with an uncolorable parent; each
-    such graph has an uncolorable signing of its own.  (1, 3) and (2, 4)
-    have no uncolorable graph with n <= 6, so nothing is inherited there."""
-    scanned = []
+def _record_walks(monkeypatch):
+    """Wrap the survey's map walk; the list it returns collects the graph of
+    every walk.  Returns (that list, the real kernel)."""
+    walked = []
     kernel = harness._lowest_uncolorable
 
     def recording(instance):
-        scanned.append(instance.graph)
+        walked.append(instance.graph)
         return kernel(instance)
 
     monkeypatch.setattr(harness, "_lowest_uncolorable", recording)
-    inherited = {}
+    return walked, kernel
+
+
+def test_graphs_with_a_colorable_child_are_colorable(monkeypatch):
+    """The survey walks each class at most once, and walks none that has a
+    colorable recorded child (a class whose G - e it is); each skipped class
+    is colorable under every signing.  The densest classes are walked, so
+    the pairs with few uncolorable graphs skip the most."""
+    walked, kernel = _record_walks(monkeypatch)
+    skipped_total = {}
     for i, j in UNIFORM_PAIRS:
         params = DefectParams(i, j)
         for n in range(7):
-            scanned.clear()
+            walked.clear()
             rep = enumerate_critical(params, n, mode="uniform")
-            assert len(scanned) == len(set(scanned))
-            skipped = set(graphs_up_to_iso(n)) - set(scanned)
-            assert len(skipped) == rep.graphs_examined - len(scanned)
+            assert len(walked) == len(set(walked))
+            skipped = set(graphs_up_to_iso(n)) - set(walked)
+            assert len(skipped) == rep.graphs_examined - len(walked)
             for graph in skipped:
-                assert kernel(WeightedInstance.uniform(graph, params))[0] is not None, (i, j, graph)
-            inherited[i, j] = inherited.get((i, j), 0) + len(skipped)
-    assert inherited == {(0, 0): 156, (0, 1): 113, (1, 1): 38, (1, 2): 3, (1, 3): 0, (2, 4): 0}
+                assert kernel(WeightedInstance.uniform(graph, params))[0] is None, (i, j, graph)
+            skipped_total[i, j] = skipped_total.get((i, j), 0) + len(skipped)
+            if (i, j, n) == (1, 2, 6):
+                assert len(walked) == 10
+    assert skipped_total == {
+        (0, 0): 28, (0, 1): 57, (1, 1): 140, (1, 2): 193, (1, 3): 202, (2, 4): 202
+    }
 
 
-def test_uniform_survey_n7():
+def test_uniform_survey_n7(monkeypatch):
+    walked, _ = _record_walks(monkeypatch)
     rep = enumerate_critical(P12, 7, mode="uniform")
+    assert len(walked) == 215
     assert rep.graphs_examined == rep.pairs_examined == 1044
     assert len(rep.criticals) == 32
     assert rep.min_edges == 13 and rep.bound_min_edges == 12 and rep.bound_satisfied
     assert not rep.potential_violations and not rep.sparsity_violations
-    rows = [
-        [[list(e) for e in c.edges], [list(cap) for cap in c.caps], c.rho] for c in rep.criticals
-    ]
     # in report order: graphs_up_to_iso order
-    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == "7a893f86250a32f4"
+    assert _report_digest(rep) == "7a893f86250a32f4"
+
+
+@pytest.mark.parametrize(
+    "i,j,count,min_edges,digest,walks",
+    [
+        (1, 3, 12, 15, "694dc7e1a7d3c2a7", 54),
+        (2, 4, 0, None, "4f53cda18c2baa0c", 1),
+        (2, 5, 0, None, "4f53cda18c2baa0c", 1),
+    ],
+)
+def test_uniform_survey_n7_at_other_pairs(monkeypatch, i, j, count, min_edges, digest, walks):
+    """The n = 7 surveys of three more grid pairs.  (1, 3) has 12
+    criticals.  At (2, 4) and (2, 5) K7 is colorable under every signing,
+    so its one walk decides all 1,044 classes and there is no critical."""
+    walked, _ = _record_walks(monkeypatch)
+    rep = enumerate_critical(DefectParams(i, j), 7, mode="uniform")
+    assert len(walked) == walks
+    assert rep.graphs_examined == rep.pairs_examined == 1044
+    assert len(rep.criticals) == count and rep.min_edges == min_edges
+    assert not rep.potential_violations and not rep.sparsity_violations
+    assert _report_digest(rep) == digest
 
 
 def test_uniform_survey_n6():

@@ -236,6 +236,30 @@ def test_lowering_one_cap_keeps_a_signing_uncolorable(pair):
                 assert find_coloring(lower, signing) is None, (v, lowered)
 
 
+@st.composite
+def weighted_instances(draw):
+    """A random weighted instance with n <= 7, at most 12 edges and caps
+    down to -1."""
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
+    i = draw(st.integers(0, 2))
+    params = DefectParams(i, draw(st.integers(i, i + 3)))
+    cap = st.tuples(st.integers(-1, params.i), st.integers(-1, params.j))
+    return host(n, edges, draw(st.lists(cap, min_size=n, max_size=n)), params)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_instances())
+def test_deleting_an_edge_keeps_every_signing_colorable(inst):
+    """The uniform survey's downward rule: a map valid on G stays valid on
+    G - e, where each vertex has no more conflicts, so a graph colorable
+    under every signing leaves every G - e so too."""
+    assume(_lowest_uncolorable(inst)[0] is None)
+    for e in inst.graph.sorted_edges:
+        assert _lowest_uncolorable(inst.without_edge(e))[0] is None, e
+
+
 def all_covers(inst, **kwargs):
     res = colorable_all_covers(inst, **kwargs)
     return res.witness, res.signings_examined
