@@ -4,7 +4,7 @@ Decides (i, j)-defective colorability of simple graphs under arbitrary
 full 2-fold covers and per-vertex capacity pairs, computes potential and
 discharging quantities exactly, generates the sharp flag-path
 constructions, and certifies their criticality exactly from the loads
-their flags force on the path.
+of their block-cut trees.
 """
 
 from .model import (

@@ -7,9 +7,9 @@ attaches a prescribed number of flags to each base; with uniform
 capacities (i, j) it meets the extremal edge/vertex count identities
 exactly, and a specific cover signing defeats every coloring.
 
-A flag meets the rest of its host only at its base, so its signs matter
-only through the load they force there (`solver.pendant_loads`); the
-harness certifies flag-path hosts from those loads alone.
+A flag is a block that meets the rest of its host only at its base, so
+its signs matter only through the load they force there; the harness
+certifies flag-path hosts from block loads (`solver._uncolorable_by_loads`).
 `reduced_cover_iterator` instead yields one signing per symmetry class
 (flag middles, and whole flags on a common base, are interchangeable); it
 stays as an independent oracle for the load reduction.
@@ -23,6 +23,7 @@ from itertools import combinations_with_replacement, product
 from typing import Iterator
 
 from .model import (
+    MAX_VERTICES,
     PARALLEL,
     TWISTED,
     CoverSigning,
@@ -139,12 +140,16 @@ def flag_path_graph(
     """Build the m-base flag-path graph with its layout spec.
 
     Vertices are numbered path first, then flags in base order, each flag
-    top-then-middles, so generated instances are byte-stable.
+    top-then-middles, so generated instances are byte-stable.  Above
+    `MAX_VERTICES` vertices, as for instance files, nothing is built.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if params.i < 1 or params.j < 2 * params.i:
         raise ValueError("flag-path construction needs i >= 1 and j >= 2i")
+    n = (params.i + 2) * (m * params.i + params.j + 2) + m
+    if n > MAX_VERTICES:
+        raise ValueError(f"m={m} gives {n} vertices, above the ceiling {MAX_VERTICES}")
     builder = GraphBuilder(m)
     for k in range(m - 1):
         builder.add_edge(k, k + 1)

@@ -10,7 +10,7 @@ caps (-1, -1) is a non-colorable proper subgraph.
 
 `is_critical` decides one instance through `colorable_all_covers` (the
 solver's map walk, or seeded draws) or, on a flag-path host, from the
-loads its flags force on the path (`_FlagProfiles`).  The uniform
+loads of its block-cut tree (`solver._uncolorable_by_loads`).  The uniform
 survey decides the graphs from the most edges down: a graph with a
 colorable G + e is colorable, and the map walk decides each other graph.
 The weighted survey quantifies over capacity functions as well, in bitsets
@@ -30,7 +30,6 @@ from typing import Iterable, Iterator
 
 from .constructions import (
     ConstructionSpec,
-    FlagSpec,
     edge_orbits,
     flag_path_instance,
     hard_cover_signing,
@@ -47,16 +46,13 @@ from .model import (
 from .potential import sparsity_test, subset_potential
 from .solver import (
     DEFAULT_ENUMERATION_CEILING,
-    _caps,
     _context,
     _lowest_uncolorable,
-    _SearchContext,
     _sign_tuple,
     _solve,
+    _uncolorable_by_loads,
     colorable_all_covers,
     find_coloring,
-    maximal_profiles,
-    pendant_loads,
     sample_covers,
 )
 
@@ -76,12 +72,12 @@ class Exhaustive:
 
 @dataclass(frozen=True)
 class Reduced:
-    """Certify a flag-path host from flag loads instead of signings.
+    """Certify a flag-path host from block loads instead of signings.
 
-    `spec` must describe the instance's graph exactly, and the flags on
-    each base must agree in shape and in top and middle capacities;
-    is_critical raises ValueError otherwise.  Base capacities may differ.
-    """
+    `spec` only names the edge orbits, one deleted edge per orbit.  For
+    them to be sound it must describe the instance's graph exactly, and
+    the flags on each base must agree in shape and in top and middle
+    capacities; is_critical raises ValueError otherwise."""
 
     spec: ConstructionSpec
 
@@ -103,7 +99,9 @@ class CriticalityVerdict:
     failing_edge: Edge | None
     failing_vertex: int | None
     failing_witness: CoverSigning | None
-    covers_checked: int  # signings, or (path signing, loads) combinations under Reduced
+    # signings; under Reduced the (block signing, child-option choice) pairs
+    # decided, a memoised block counting 0
+    covers_checked: int
     edges_checked: int
     nodes_expanded: int
     edge_orbit_map: tuple[tuple[Edge, ...], ...] | None
@@ -117,16 +115,25 @@ def in_guaranteed_range(params: DefectParams) -> bool:
 
 
 def _phase_covers(
-    instance: WeightedInstance, strategy: Strategy, deleted: Edge | None
+    instance: WeightedInstance, strategy: Strategy, deleted: Edge | None, memo: dict | None = None
 ) -> tuple[CoverSigning | None, int, int, int]:
     """One colorability-for-all-covers phase: (witness, examined, signings
-    solved, nodes).  Exhaustive hands the solver only the witness, to
-    cross-check; Sampled hands it every examined signing, and its deletion
-    of edge k draws its signings from the seed "{seed}:{k}"."""
+    solved, nodes).  Exhaustive and Reduced (the load DP, with the run's
+    block `memo`) hand the solver only the witness, to cross-check; Sampled
+    hands it every examined signing, and its deletion of edge k draws its
+    signings from the seed "{seed}:{k}"."""
     inst = instance.without_edge(deleted) if deleted else instance
     if isinstance(strategy, Exhaustive):
         scan = colorable_all_covers(inst, max_edges=strategy.max_edges)
         solved = 0 if scan.colorable else 1
+    elif isinstance(strategy, Reduced):
+        bits, decided = _uncolorable_by_loads(inst, memo)
+        if bits is None:
+            return None, decided, 0, 0
+        scan = colorable_all_covers(inst, signings=(CoverSigning.from_bits(inst.graph, bits),))
+        if scan.colorable:
+            raise RuntimeError("block loads and solver disagree on colorability")
+        return scan.witness, decided, scan.signings_examined, scan.nodes_expanded
     elif isinstance(strategy, Sampled):
         seed = strategy.seed
         if deleted is not None:
@@ -165,7 +172,7 @@ def _deleted_edge_results(work: list, workers: int) -> Iterator[tuple]:
 
 
 def _check_reduced_spec(instance: WeightedInstance, spec: ConstructionSpec) -> None:
-    """Raise ValueError unless flag loads decide this instance exactly."""
+    """Raise ValueError unless `edge_orbits(spec)` are orbits of the instance."""
     graph, caps = instance.graph, instance.caps
     if len(spec.flags_by_base) != spec.m or any(
         f.base != base for base, flags in zip(spec.path, spec.flags_by_base) for f in flags
@@ -186,105 +193,6 @@ def _check_reduced_spec(instance: WeightedInstance, spec: ConstructionSpec) -> N
             )
 
 
-class _FlagProfiles:
-    """Colorability of a flag-path host, and of the host minus one edge,
-    for every signing at once, by the two steps of the solver's `_scan`.
-
-    A flag meets the rest of the host only at its base, so its signs
-    matter only through the load they force there (`pendant_loads`), and
-    the flags on a base add up to a load.  A larger load only makes the
-    base harder to color, so each base needs only the loads summed from
-    its flags' maximal loads; intact flags on a base are interchangeable,
-    so k of them with two maximal loads give k+1.  A path signing with one
-    load per base is colorable iff the path's search succeeds with every
-    base's caps lowered by its load.
-    """
-
-    def __init__(self, instance: WeightedInstance, spec: ConstructionSpec):
-        _check_reduced_spec(instance, spec)
-        self.instance = instance
-        self.spec = spec
-        # the first flag stands for its base: all agree in shape and caps
-        self.intact = [
-            self._options(flags[0], None) if flags else [] for flags in spec.flags_by_base
-        ]
-
-    def _options(
-        self, flag: FlagSpec, deleted: Edge | None
-    ) -> list[tuple[tuple[int, int], tuple[int, ...]]]:
-        loads = pendant_loads(self.instance, flag.base, [e for e in flag.edges if e != deleted])
-        return [(p, loads[p]) for p in maximal_profiles(loads)]
-
-    def _loads(self, b: int, deleted: Edge | None) -> dict[tuple[int, int], list]:
-        """Maximal loads on base b, each with the (flag, load, signs) of
-        every flag there that make it up.  A load above a capacity is cut
-        to capacity + 1, which fails just the same."""
-        flags = self.spec.flags_by_base[b]
-        intact = [f for f in flags if deleted not in f.edges]
-        damaged = [
-            [(f, p, signs) for p, signs in self._options(f, deleted)]
-            for f in flags if deleted in f.edges
-        ]
-        cap = self.instance.caps[self.spec.path[b]]
-        loads: dict[tuple[int, int], list] = {}
-        for hurt in itertools.product(*damaged):
-            for multiset in itertools.combinations_with_replacement(
-                self.intact[b], len(intact)
-            ):
-                picked = [*hurt, *((f, p, s) for f, (p, s) in zip(intact, multiset))]
-                load = tuple(
-                    min(sum(p[x] for _, p, _ in picked), cap[x] + 1) for x in (0, 1)
-                )
-                loads.setdefault(load, picked)
-        return {load: loads[load] for load in maximal_profiles(loads)}
-
-    def uncolorable(self, deleted: Edge | None) -> tuple[CoverSigning | None, int]:
-        """An uncolorable signing of the host minus `deleted` (the first in
-        path-signing then load order), or None; and the number of (path
-        signing, loads) combinations decided."""
-        graph, path_vertices = self.instance.graph, self.spec.path
-        path = [(e, graph.edge_index[e]) for e in self.spec.path_edges if e != deleted]
-        ctx = _SearchContext(graph, path_vertices, [k for _, k in path])
-        options = [list(self._loads(b, deleted).items()) for b in range(self.spec.m)]
-        cap0, cap1 = _caps(self.instance)
-        signs = [0] * len(graph.sorted_edges)
-        decided = 0
-        for bits in range(1 << len(path)):
-            for t, (_, k) in enumerate(path):
-                signs[k] = (bits >> t) & 1
-            for combo in itertools.product(*options):
-                decided += 1
-                caps = (list(cap0), list(cap1))
-                for v, ((poor, rich), _) in zip(path_vertices, combo):
-                    caps[0][v] -= poor
-                    caps[1][v] -= rich
-                if _solve(ctx, signs, caps)[0] is None:
-                    return self._signing(deleted, path, bits, combo), decided
-        return None, decided
-
-    def _signing(self, deleted, path, bits, combo) -> CoverSigning:
-        """The signing a path signing and a load per base stand for."""
-        table = {e: (bits >> t) & 1 for t, (e, _) in enumerate(path)}
-        for _, picked in combo:
-            for flag, _, flag_signs in picked:
-                table.update(zip((e for e in flag.edges if e != deleted), flag_signs))
-        graph = self.instance.graph
-        return CoverSigning.from_dict(
-            graph if deleted is None else graph.without_edge(deleted), table
-        )
-
-    def phase(self, deleted: Edge | None) -> tuple[CoverSigning | None, int, int, int]:
-        """Like `_phase_covers`: the solver only cross-checks the witness."""
-        witness, decided = self.uncolorable(deleted)
-        if witness is None:
-            return None, decided, 0, 0
-        inst = self.instance if deleted is None else self.instance.without_edge(deleted)
-        scan = colorable_all_covers(inst, signings=(witness,))
-        if scan.colorable:
-            raise RuntimeError("flag loads and solver disagree on colorability")
-        return witness, decided, scan.signings_examined, scan.nodes_expanded
-
-
 def is_critical(
     instance: WeightedInstance, strategy: Strategy, workers: int = 1
 ) -> CriticalityVerdict:
@@ -299,24 +207,22 @@ def is_critical(
     `colorable_all_covers`, and the solver cross-checks each witness; a
     Sampled run hands every drawn signing to the solver.  Both spread phase
     2's edges over min(workers, edges, CPUs) processes.  A Reduced run
-    decides both phases from flag loads (`_FlagProfiles`), visits one
-    deleted edge per automorphism orbit, and hands the solver only each
-    uncolorable signing the loads rebuild; `workers` does not matter.
+    decides G and the G - e of one deleted edge per automorphism orbit by
+    the load DP (`_uncolorable_by_loads`), with one block memo for the
+    run, and hands the solver only each uncolorable signing the DP
+    rebuilds; `workers` does not matter.
     """
     graph = instance.graph
     certifying = not isinstance(strategy, Sampled)
+    orbit_map = None
+    edges_to_check = list(graph.sorted_edges)
+    memo: dict = {}  # the blocks a Reduced run has decided
     if isinstance(strategy, Reduced):
+        _check_reduced_spec(instance, strategy.spec)
         orbit_map = edge_orbits(strategy.spec)
-        edges_to_check: list[Edge] = [orbit[0] for orbit in orbit_map]
-        phase = _FlagProfiles(instance, strategy.spec).phase
-    else:
-        orbit_map = None
-        edges_to_check = list(graph.sorted_edges)
+        edges_to_check = [orbit[0] for orbit in orbit_map]
 
-        def phase(deleted):
-            return _phase_covers(instance, strategy, deleted)
-
-    witness, covers, solved, nodes = phase(None)
+    witness, covers, solved, nodes = _phase_covers(instance, strategy, None, memo)
     if witness is None:
         return CriticalityVerdict(
             COLORABLE, certifying, None, None, None, None,
@@ -333,7 +239,7 @@ def is_critical(
                 )
 
     if isinstance(strategy, Reduced):
-        results = ((e, *phase(e)) for e in edges_to_check)
+        results = ((e, *_phase_covers(instance, strategy, e, memo)) for e in edges_to_check)
     else:
         work = [(instance, strategy, e) for e in edges_to_check]
         results = _deleted_edge_results(work, workers)
@@ -630,11 +536,11 @@ class _WeightedTables:
                 break
         return missing
 
-    def criticals(self) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
-        """The capacity functions under which the graph is critical, each
-        with the number of its smallest uncolorable signing: the pairs on
-        which is_critical(..., Exhaustive()) says CRITICAL, with its
-        witness, in itertools.product(self.caps, repeat=n) order.
+    def criticals(self) -> Iterator[tuple[int, int]]:
+        """The ranks of the capacity functions under which the graph is
+        critical, ascending, each with the number of its smallest
+        uncolorable signing: the pairs on which is_critical(...,
+        Exhaustive()) says CRITICAL, with its witness.
 
         Phase 1 walks the signings upward, and each one records the
         capacity functions it is the first to make uncolorable.  Phase 2
@@ -660,37 +566,28 @@ class _WeightedTables:
                     if not critical:
                         return
         witness = {r: s for s, new in first for r in _bit_positions(new & critical)}
-        # rank r is the caps of head[r // low] followed by those of tail[r % low]
-        low = len(self.caps) ** (self.n // 2)
-        head = list(itertools.product(self.caps, repeat=self.n - self.n // 2))
-        tail = list(itertools.product(self.caps, repeat=self.n // 2))
-        for r in sorted(witness):
-            high, rest = divmod(r, low)
-            yield head[high] + tail[rest], witness[r]
+        yield from sorted(witness.items())
 
-    def maximal(
-        self, found: list[tuple[tuple[tuple[int, int], ...], int]]
-    ) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
+    def maximal(self, found: list[tuple[int, int]]) -> Iterator[tuple[int, int]]:
         """The pairs of `found` (as `criticals` yields them) with no pair
         of `found` one step above them with the same witness: one cap
         raised by one at one vertex, rank + K^(n-1-v) for the rich cap and
-        rank + (j+2) K^(n-1-v) for the poor one."""
-        size, (i, j) = len(self.caps), self.caps[-1]
-        digit = {cap: k for k, cap in enumerate(self.caps)}
-        steps = [(size**v, (j + 2) * size**v) for v in reversed(range(self.n))]
-        ranks = []
-        for caps, _ in found:
-            r = 0
-            for cap in caps:
-                r = r * size + digit[cap]
-            ranks.append(r)
-        witness_of = dict(zip(ranks, (w for _, w in found))).get
-        for r, (caps, w) in zip(ranks, found):
-            for (c1, c2), (rich, poor) in zip(caps, steps):
-                if c2 < j and witness_of(r + rich) == w or c1 < i and witness_of(r + poor) == w:
+        rank + (j+2) K^(n-1-v) for the poor one.  Digit v of a rank is
+        (c1 + 1)(j + 2) + c2 + 1."""
+        size, j = len(self.caps), self.caps[-1][1]
+        poor_top = size - (j + 2)  # the digits with c1 = i
+        steps = [size**v for v in range(self.n)]  # K^(n-1-v), from v = n - 1 down
+        witness_of = dict(found).get
+        for r, w in found:
+            for rich in steps:
+                digit = r // rich % size
+                if (
+                    digit % (j + 2) <= j and witness_of(r + rich) == w
+                    or digit < poor_top and witness_of(r + (j + 2) * rich) == w
+                ):
                     break
             else:
-                yield caps, w
+                yield r, w
 
 
 def _whole_potential(
@@ -798,13 +695,18 @@ def enumerate_critical(
             ctx, m = _context(graph), tables.m
             signs: dict[int, tuple[int, ...]] = {}  # many criticals share a witness
             found = list(tables.criticals())
-            for caps, _ in found:
+            # rank r is the caps of head[r // low] followed by those of tail[r % low]
+            low = len(tables.caps) ** (n // 2)
+            head = list(itertools.product(tables.caps, repeat=n - n // 2))
+            tail = list(itertools.product(tables.caps, repeat=n // 2))
+            caps_of = {r: head[r // low] + tail[r % low] for r, _ in found}
+            for caps in caps_of.values():
                 rho = _whole_potential(params, caps, m)
                 criticals.append(CriticalEntry(graph.sorted_edges, caps, rho))
-            for caps, witness in tables.maximal(found):
+            for r, witness in tables.maximal(found):
                 if witness not in signs:
                     signs[witness] = _sign_tuple(witness, m)
-                poor, rich = zip(*caps)  # n >= 1: n = 0 yields nothing
+                poor, rich = zip(*caps_of[r])  # n >= 1: n = 0 yields nothing
                 if _solve(ctx, signs[witness], (poor, rich))[0] is not None:
                     raise RuntimeError("defect bitsets and solver disagree on colorability")
 

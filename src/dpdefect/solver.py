@@ -12,14 +12,16 @@ witness to cross-check, a hard cover) goes to `_scan`, which decides one
 signing at a time: it splits the leaf blocks of the block-cut tree off into
 tables of packed loads, and searches the rest once per distinct key (its
 loads and its own signs) of a scan.  `colorable_all_covers` and
-`sample_covers` report either as a `CoverScan`.  `pendant_loads` tabulates
-the loads of one pendant piece over all its signings, as the harness needs
-for the flags of a flag path.
+`sample_covers` report either as a `CoverScan`.  `_uncolorable_by_loads`
+decides "is every signing colorable?" from the same leaf-block loads, over
+the whole block-cut tree and for an adversary that picks each block's
+signing, as the harness needs for flag-path hosts.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,7 +30,6 @@ from typing import Iterable, Iterator, Sequence
 from .model import (
     ColoringMap,
     CoverSigning,
-    Edge,
     SimpleGraph,
     WeightedInstance,
 )
@@ -275,10 +276,13 @@ def _sign_tuple(bits: int, m: int) -> tuple[int, ...]:
     return signs
 
 
-def _biconnected_components(graph: SimpleGraph) -> list[list[int]]:
-    """The edge indices of each block (biconnected component), found by
-    one depth-first search (Hopcroft and Tarjan, "Efficient algorithms for
-    graph manipulation", 1973).  Isolated vertices are in no block."""
+def _biconnected_components(graph: SimpleGraph) -> list[tuple[int, list[int]]]:
+    """Each block (biconnected component) as (the vertex it hangs from,
+    its edge indices), found by one depth-first search (Hopcroft and
+    Tarjan, "Efficient algorithms for graph manipulation", 1973) that roots
+    the block-cut tree at the smallest vertex of each component; a block
+    comes after every block that hangs from its other vertices.  Isolated
+    vertices are in no block."""
     adjacency = graph.adjacency
     edge_index = graph.edge_index
     disc = [-1] * graph.n
@@ -315,7 +319,7 @@ def _biconnected_components(graph: SimpleGraph) -> list[list[int]]:
                 if low[v] >= disc[p]:
                     # p separates v's subtree: its edges from the tree edge on form a block
                     k = edges.index(edge_index[(p, v) if p < v else (v, p)])
-                    blocks.append(edges[k:])
+                    blocks.append((p, edges[k:]))
                     del edges[k:]
     return blocks
 
@@ -349,7 +353,7 @@ class _Plan:
         edges = graph.sorted_edges
         blocks = [
             (block, {v for k in block for v in edges[k]})
-            for block in _biconnected_components(graph)
+            for _, block in _biconnected_components(graph)
         ]
         blocks_at = [0] * graph.n
         for _, vertices in blocks:
@@ -411,37 +415,6 @@ def _block_load(
     return (loads[0], loads[1]), nodes
 
 
-def pendant_loads(
-    instance: WeightedInstance, cut: int, edges: Sequence[Edge]
-) -> dict[tuple[int, int], tuple[int, ...]]:
-    """Every load (`_block_load`) that some signing of a pendant piece puts
-    on its cut vertex, each with the first signs that give it, in
-    binary-counter order over `edges` (edge k is bit k).
-
-    The piece is `edges` and their ends; like a leaf block, it must meet
-    the rest of the graph only at `cut`, so that its signs matter only
-    through its load.  A load is capped at the cut vertex's cap + 1.
-    """
-    graph = instance.graph
-    missing = [e for e in edges if e not in graph.edge_index]
-    if missing:
-        raise ValueError(f"edge {missing[0]} not in the graph")
-    vertices = {v for e in edges for v in e}
-    if cut not in vertices:
-        raise ValueError(f"cut vertex {cut} is not an end of the piece's edges")
-    index = [graph.edge_index[e] for e in edges]
-    ctx = _SearchContext(graph, vertices, index)
-    cap0, cap1 = _caps(instance)
-    signs = [0] * len(graph.sorted_edges)
-    loads: dict[tuple[int, int], tuple[int, ...]] = {}
-    for bits in range(1 << len(index)):
-        piece = tuple((bits >> k) & 1 for k in range(len(index)))
-        for k, s in zip(index, piece):
-            signs[k] = s
-        loads.setdefault(_block_load(ctx, cut, signs, cap0, cap1)[0], piece)
-    return loads
-
-
 def maximal_profiles(profiles: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     """The pairs that no other pair dominates componentwise, in input order.
 
@@ -453,6 +426,90 @@ def maximal_profiles(profiles: Iterable[tuple[int, int]]) -> list[tuple[int, int
         p for p in pool
         if not any(q != p and q[0] >= p[0] and q[1] >= p[1] for q in pool)
     ]
+
+
+def _saturated_sums(option_sets: list[dict], cap: tuple[int, int]) -> dict:
+    """The maximal sums of one option from each set, each load capped at
+    `cap` + 1.  An option set maps a (poor, rich) load to the bits of a
+    signing that gives it; a sum's bits are the OR of its parts'."""
+    total = {(0, 0): 0}  # the sum of no options
+    for options in option_sets:
+        found: dict[tuple[int, int], int] = {}
+        for (p, r), bits in total.items():
+            for (q, s), more in options.items():
+                found.setdefault((min(p + q, cap[0] + 1), min(r + s, cap[1] + 1)), bits | more)
+        total = {load: found[load] for load in maximal_profiles(found)}
+    return total
+
+
+def _block_options(shape: tuple, caps: tuple, cut: int, loads: tuple) -> tuple[list, int]:
+    """The maximal loads (`_block_load`) a block with local edges `shape`
+    and `caps` puts on vertex `cut`, over its signings and one load from
+    `loads` at each other vertex, lowering its caps: each with its twisted
+    local edges and the loads chosen; and the calls spent."""
+    ctx = _context(SimpleGraph(len(caps), frozenset(shape)))
+    signings = [_sign_tuple(bits, len(shape)) for bits in range(1 << len(shape))]
+    found: dict[tuple[int, int], tuple[int, tuple]] = {}
+    for choice in itertools.product(*loads):
+        cap0, cap1 = map(list, zip(*caps))
+        for t, (poor, rich) in zip((t for t in range(len(caps)) if t != cut), choice):
+            cap0[t] -= poor
+            cap1[t] -= rich
+        for bits, signs in enumerate(signings):
+            found.setdefault(_block_load(ctx, cut, signs, cap0, cap1)[0], (bits, choice))
+    return [
+        (load, [t for t in range(len(shape)) if found[load][0] >> t & 1], found[load][1])
+        for load in maximal_profiles(found)
+    ], len(signings) * math.prod(map(len, loads))
+
+
+def _uncolorable_by_loads(instance: WeightedInstance, memo: dict) -> tuple[int | None, int]:
+    """Some signing (bit k is the sign of sorted edge k) under which no map
+    is valid, or None; and the number of `_block_load` calls spent.
+
+    On the rooted block-cut tree, a block that hangs from v gets its
+    options on v (`_block_options`) from the saturated sums of the options
+    of the blocks below its other vertices; only maximal loads matter, as
+    a larger load only makes coloring harder.  A root is uncolorable iff
+    one of its sums reaches its cap + 1 on both sides; the witness is the
+    OR of the block bits recorded for each chosen option, edges elsewhere
+    parallel.  `memo` holds blocks by their shape under an order-preserving
+    relabelling (edges, caps, cut position, loads below); a hit spends no
+    call.  A block with b edges costs 2^b x the product of its child option
+    counts `_block_load` calls, so a 2-connected graph costs 2^|E|.
+    """
+    graph, caps = instance.graph, instance.caps.pairs
+    edges = graph.sorted_edges
+    below: list[list[dict]] = [[] for _ in range(graph.n)]  # options of the blocks at v
+    roots = set(range(graph.n))
+    decided = 0
+    for top, block in _biconnected_components(graph):
+        block.sort()  # so that the relabelling keeps the edge order
+        vertices = sorted({v for k in block for v in edges[k]})
+        local = {v: t for t, v in enumerate(vertices)}
+        others = [v for v in vertices if v != top]
+        roots.difference_update(others)
+        sums = [_saturated_sums(below[v], caps[v]) for v in others]
+        key = (
+            tuple([(local[u], local[w]) for u, w in map(edges.__getitem__, block)]),
+            tuple(map(caps.__getitem__, vertices)),
+            local[top],
+            tuple(map(tuple, sums)),
+        )
+        if key not in memo:
+            memo[key], spent = _block_options(*key)
+            decided += spent
+        options = {}
+        for load, twisted, choice in memo[key]:
+            options[load] = sum(1 << block[t] for t in twisted)
+            for sum_at, chosen in zip(sums, choice):
+                options[load] |= sum_at[chosen]
+        below[top].append(options)
+    for v in sorted(roots):
+        for (poor, rich), bits in _saturated_sums(below[v], caps[v]).items():
+            if poor > caps[v][0] and rich > caps[v][1]:
+                return bits, decided
+    return None, decided
 
 
 def _scan(instance: WeightedInstance, signings: Iterable[int]) -> CoverScan:
@@ -729,18 +786,10 @@ def _sample_bits(m: int, count: int, seed: int | str) -> Iterator[int]:
     return map(random.Random(seed).getrandbits, itertools.repeat(m, count))
 
 
-def sample_signings(
-    graph: SimpleGraph, count: int, seed: int | str
-) -> Iterator[tuple[int, ...]]:
-    """Deterministic uniform sample of sign tuples (with replacement)."""
-    m = len(graph.sorted_edges)
-    for bits in _sample_bits(m, count, seed):
-        yield tuple((bits >> k) & 1 for k in range(m))
-
-
 def sample_covers(instance: WeightedInstance, count: int, seed: int | str) -> CoverScan:
     """Seeded random smoke test over the cover space: `_scan` over the
-    `count` signings that `sample_signings` draws, fed to it as ints.
+    `count` signings that `_sample_bits` draws, each one getrandbits(|E|)
+    of random.Random(seed).
 
     Where `_scan` memoises the core, a repeated signing, or one that
     repeats another's leaf-block loads and core signs, costs no search, and

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from dpdefect import (
     PARALLEL,
@@ -21,7 +21,7 @@ from dpdefect import (
 )
 from dpdefect.harness import _canonical_form, _vertex_pairs
 from dpdefect.potential import _mask_of, _potential_of_mask
-from dpdefect.solver import _Walk
+from dpdefect.solver import _sample_bits, _Walk
 
 Edge = tuple[int, int]
 
@@ -76,6 +76,13 @@ def random_instance(
         params = DefectParams(i, rng.randint(i, i + 3))
     graph = random_graph(rng, n, p if p is not None else rng.choice([0.3, 0.5, 0.7]))
     return WeightedInstance(graph, params, random_caps(rng, n, params))
+
+
+def drawn_signings(graph: SimpleGraph, count: int, seed: int | str) -> Iterator[CoverSigning]:
+    """The signings `sample_covers(instance, count, seed)` scans, in order:
+    the draws of `solver._sample_bits` over the graph's edges."""
+    for bits in _sample_bits(graph.edge_count(), count, seed):
+        yield CoverSigning.from_bits(graph, bits)
 
 
 def random_signing(rng: random.Random, graph: SimpleGraph) -> CoverSigning:

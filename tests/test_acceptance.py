@@ -38,8 +38,13 @@ from dpdefect import (
     verify_total_charge,
 )
 from dpdefect.cli import main as cli_main
-from dpdefect.solver import sample_signings
-from conftest import check_submodularity, first_uncolorable, random_caps, random_graph
+from conftest import (
+    check_submodularity,
+    drawn_signings,
+    first_uncolorable,
+    random_caps,
+    random_graph,
+)
 
 PAIR_GRID = [(1, 2), (1, 3), (1, 4), (2, 4), (2, 5), (2, 6)]
 M_GRID = [1, 2, 3]
@@ -204,10 +209,7 @@ def test_criterion_7_solver_oracle_agreement(corpus):
                     CoverSigning.from_bits(graph, bits) for bits in range(1 << m)
                 )
             else:
-                signings = (
-                    CoverSigning(graph.sorted_edges, signs)
-                    for signs in sample_signings(graph, 64, seed=CORPUS_SEED + k)
-                )
+                signings = drawn_signings(graph, 64, seed=CORPUS_SEED + k)
             for signing in signings:
                 got = find_coloring(inst, signing)
                 want = brute_force_oracle(inst, signing)

@@ -204,6 +204,24 @@ def test_negative_max_edges_names_the_flag(capsys):
     assert err == "error: --max-edges must be at least 0, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--i", "1", "--j", "2", "--m", "1000000000"],
+        ["critical", "--construct", "1,2,1000000000", "--strategy", "reduced"],
+        ["verify", "--pairs", "1,2", "--ms", "1000000000"],
+    ],
+    ids=["construct", "critical", "verify"],
+)
+def test_a_host_above_the_vertex_ceiling_is_a_usage_error(capsys, argv):
+    # (i+2)(m i + j + 2) + m vertices, refused before the host is built
+    code, stdout, err = run(capsys, argv)
+    assert code == 2 and stdout == ""
+    assert err == (
+        "error: m=1000000000 gives 4000000012 vertices, above the ceiling 100000\n"
+    )
+
+
 def test_max_edges_default_is_the_solver_ceiling(capsys):
     assert Exhaustive().max_edges == DEFAULT_ENUMERATION_CEILING
     with pytest.raises(SystemExit):
@@ -293,7 +311,7 @@ GOLDEN_JSON = [
     ),
     (
         ["critical", "--construct", "1,2,1", "--strategy", "reduced"],
-        '{"certifying":true,"command":"critical","counters":{"classes":7,'
+        '{"certifying":true,"command":"critical","counters":{"classes":58,'
         '"edges_checked":3,"nodes_expanded":95,"signings":1},'
         '"failing_edge":null,'
         '"instance_digest":"c30256ae233fccf5d266a81f4143d88358bfaa4c4ee87001c2a594fb68e9f3c8",'

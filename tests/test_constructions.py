@@ -32,7 +32,7 @@ from dpdefect import (
     verify_counts,
 )
 from dpdefect.discharging import SURPLUS
-from dpdefect.solver import pendant_loads
+from dpdefect.solver import _uncolorable_by_loads
 
 P12 = DefectParams(1, 2)
 
@@ -87,6 +87,9 @@ def test_flag_path_rejects_bad_arguments():
         flag_path_graph(P12, 0)
     with pytest.raises(ValueError):
         flag_path_graph(DefectParams(1, 1), 1)
+    # 3 (24998 + 4) + 24998 = 100,004 vertices, one path base past the ceiling
+    with pytest.raises(ValueError, match="100004 vertices, above the ceiling 100000"):
+        flag_path_graph(P12, 24998)
 
 
 def test_vertex_numbering_stable():
@@ -197,11 +200,26 @@ def test_twisted_flag_forces_one_conflict_at_poor_base():
         assert _min_base_conflicts(params, twisted_flag_signing(params), RICH) == 0
 
 
+def _flag_signing(graph, flag, bits):
+    """The FlagSigning that signing `bits` of a one-flag host puts on the flag."""
+    signs = CoverSigning.from_bits(graph, bits).as_dict()
+    return FlagSigning(
+        signs[flag.base_top_edge],
+        tuple(
+            (signs[flag.base_middle_edge(k)], signs[flag.top_middle_edge(k)])
+            for k in range(len(flag.middles))
+        ),
+    )
+
+
 def test_pendant_loads_match_the_brute_force_base_conflicts():
+    # the options the load DP records for the flag, the one block of the host
     for params in (P12, DefectParams(2, 4)):
         graph, _, flag = one_flag_host(params)
         inst = WeightedInstance.uniform(graph, params)
-        loads = pendant_loads(inst, flag.base, flag.edges)
+        memo = {}
+        assert _uncolorable_by_loads(inst, memo) == (None, 1 << len(flag.edges))
+        (options,) = memo.values()
 
         def load(signing):
             # no valid completion reads as the base's cap + 1
@@ -211,23 +229,34 @@ def test_pendant_loads_match_the_brute_force_base_conflicts():
             )
 
         want = {load(signing) for signing in flag_sign_classes(params)}
-        assert set(loads) == want == {(0, 0), (0, 1), (1, 0)}
-        for got, signs in loads.items():
-            assert load(FlagSigning(signs[0], tuple(zip(signs[1::2], signs[2::2])))) == got
-        assert maximal_profiles(loads) == [(0, 1), (1, 0)]
+        assert want == {(0, 0), (0, 1), (1, 0)}
+        assert [got for got, _, _ in options] == [(0, 1), (1, 0)]
+        assert set(maximal_profiles(want)) == {(0, 1), (1, 0)}
+        for got, twisted, choice in options:
+            assert choice == ((0, 0),) * (len(flag.middles) + 1)  # nothing hangs below them
+            # the flag is the whole host, so its local edges are the host's
+            bits = sum(1 << t for t in twisted)
+            assert load(_flag_signing(graph, flag, bits)) == got
 
 
 def test_pendant_loads_of_damaged_and_starved_flags():
     graph, _, flag = one_flag_host(P12)
     inst = WeightedInstance.uniform(graph, P12)
-    for edge in flag.edges:
-        assert set(pendant_loads(inst, 0, [e for e in flag.edges if e != edge])) == {(0, 0)}
-    with pytest.raises(ValueError, match="not in the graph"):
-        pendant_loads(inst, 0, [*flag.edges, (0, 99)])
-    with pytest.raises(ValueError, match="not an end"):
-        pendant_loads(inst, 0, flag.edges[-1:])
+    rest = inst.caps.pairs[1:]
+    # with one side of the base forbidden and the other at cap 0, a signing
+    # is uncolorable iff the flag can force one conflict on the other side
+    for base_caps, side in (((-1, 0), RICH), ((0, -1), 0)):
+        one_side = inst.with_caps((base_caps, *rest))
+        bits, _ = _uncolorable_by_loads(one_side, {})
+        assert _min_base_conflicts(P12, _flag_signing(graph, flag, bits), side) == 1
+        for edge in flag.edges:
+            # a flag missing an edge forces no conflict on either side
+            assert _uncolorable_by_loads(one_side.without_edge(edge), {})[0] is None
     starved = inst.with_caps(((1, 2), (-1, -1), (1, 2), (1, 2)))
-    assert set(pendant_loads(starved, 0, flag.edges)) == {(2, 3)}  # the base's caps + 1
+    memo = {}
+    assert _uncolorable_by_loads(starved, memo)[0] == 0  # the all-parallel signing
+    (options,) = memo.values()
+    assert [load for load, _, _ in options] == [(2, 3)]  # the base's caps + 1
     assert maximal_profiles([(0, 1), (1, 0), (1, 1), (0, 0)]) == [(1, 1)]
     assert maximal_profiles([(2, 0), (0, 1), (1, 0)]) == [(2, 0), (0, 1)]
 

@@ -47,16 +47,16 @@ from dpdefect import (
 )
 from dpdefect.harness import (
     CriticalEntry,
-    _FlagProfiles,
     _WeightedTables,
     _canonical_form,
     _iso_levels,
     _vertex_pairs,
     in_guaranteed_range,
 )
-from dpdefect.solver import sample_signings
+from dpdefect.solver import _uncolorable_by_loads
 from conftest import (
     cycle_graph,
+    drawn_signings,
     first_uncolorable,
     graphs_by_mask_scan,
     k2,
@@ -619,12 +619,18 @@ def test_weighted_cap_patterns_match_the_decoded_rank(params):
                         assert bits == want, (graph, v, b, t)
 
 
+def _decoded_criticals(tables):
+    """`tables.criticals()` with each rank decoded to its capacity function."""
+    caps = list(itertools.product(tables.caps, repeat=tables.n))
+    return [(caps[r], w) for r, w in tables.criticals()]
+
+
 def _criticals(graph, params):
     """The graph's `_WeightedTables.criticals()` as {caps: witness signing},
     after checking that they come in itertools.product order (the caps
     list is ascending, so that order is ascending order of the tuples)."""
     tables = _WeightedTables(graph, params)
-    found = {caps: CoverSigning.from_bits(graph, w) for caps, w in tables.criticals()}
+    found = {caps: CoverSigning.from_bits(graph, w) for caps, w in _decoded_criticals(tables)}
     assert list(found) == sorted(found)
     return tables, found
 
@@ -713,6 +719,14 @@ def test_weighted_criticals_property(pair):
         _assert_agrees_with_is_critical(graph, params, critical, found)
 
 
+def _rank(caps, params):
+    """The rank of a capacity function among `_WeightedTables`' bits."""
+    rank = 0
+    for c1, c2 in caps:
+        rank = rank * (params.i + 2) * (params.j + 2) + (c1 + 1) * (params.j + 2) + c2 + 1
+    return rank
+
+
 def test_weighted_cross_check_rejects_a_colorable_witness(monkeypatch):
     """The kernel also yields caps (i, j) everywhere on K2 with the
     all-parallel signing, which the solver colors."""
@@ -721,7 +735,7 @@ def test_weighted_cross_check_rejects_a_colorable_witness(monkeypatch):
     def with_a_colorable_pair(tables):
         yield from criticals(tables)
         if tables.m == 1:
-            yield ((P12.i, P12.j),) * 2, 0
+            yield _rank(((P12.i, P12.j),) * 2, P12), 0
 
     monkeypatch.setattr(harness._WeightedTables, "criticals", with_a_colorable_pair)
     with pytest.raises(RuntimeError, match="disagree on colorability"):
@@ -743,8 +757,8 @@ def test_weighted_cover_rule_honours_the_witness(monkeypatch):
         found = dict(criticals(tables))
         yield from found.items()
         if tables.m == 2:  # the path, the only 2-edge graph at n = 3
-            assert found[above] == 0 and below not in found
-            yield below, 3
+            assert found[_rank(above, P12)] == 0 and _rank(below, P12) not in found
+            yield _rank(below, P12), 3
 
     monkeypatch.setattr(harness._WeightedTables, "criticals", with_a_colorable_pair)
     with pytest.raises(RuntimeError, match="disagree on colorability"):
@@ -781,7 +795,7 @@ def test_weighted_survey_searches_the_maximal_caps_of_each_witness_group(monkeyp
 
     groups = collections.defaultdict(list)
     for graph in graphs_up_to_iso(4):
-        for caps, witness in _WeightedTables(graph, P12).criticals():
+        for caps, witness in _decoded_criticals(_WeightedTables(graph, P12)):
             groups[graph.sorted_edges, witness].append(caps)
     maximal = {
         (*key, caps)
@@ -801,7 +815,7 @@ def test_every_weighted_critical_is_uncolorable_under_its_witness(params, top):
     here every critical gets its own search."""
     for n in range(top + 1):
         for graph in graphs_up_to_iso(n):
-            for caps, witness in _WeightedTables(graph, params).criticals():
+            for caps, witness in _decoded_criticals(_WeightedTables(graph, params)):
                 inst = WeightedInstance(graph, params, CapacityFunction(caps))
                 assert find_coloring(inst, CoverSigning.from_bits(graph, witness)) is None
 
@@ -926,7 +940,7 @@ def test_sampled_edge_streams_differ_across_neighbouring_seeds(monkeypatch):
     streams = []
 
     def recording(sub, count, seed):
-        streams.append(list(sample_signings(sub.graph, count, seed)))
+        streams.append(list(drawn_signings(sub.graph, count, seed)))
         return sample_covers(sub, count, seed)
 
     monkeypatch.setattr(harness, "sample_covers", recording)
@@ -968,7 +982,7 @@ def test_sampled_edge_deletion_sweep_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# Reduced certification from flag profiles
+# Reduced certification from block loads
 # ---------------------------------------------------------------------------
 
 def _flag_host(params, counts):
@@ -987,11 +1001,12 @@ def test_profile_phase1_agrees_with_class_iterator(counts, colorable):
     graph, spec = _flag_host(P12, counts)
     inst = WeightedInstance.uniform(graph, P12)
     classes = colorable_all_covers(inst, signings=reduced_cover_iterator(graph, spec))
-    witness, _ = _FlagProfiles(inst, spec).uncolorable(None)
-    assert classes.colorable == (witness is None) == colorable
+    bits, _ = _uncolorable_by_loads(inst, {})
+    assert classes.colorable == (bits is None) == colorable
     verdict = is_critical(inst, Reduced(spec))
     assert (verdict.verdict == COLORABLE) == colorable
     if not colorable:
+        witness = CoverSigning.from_bits(graph, bits)
         assert find_coloring(inst, witness) is None
         assert verdict.witness == witness
 
@@ -1055,18 +1070,18 @@ def test_reduced_certifies_flag_path_hosts(i, j, m):
 # (covers_checked, nodes_expanded, the first 16 hex digits of the sha256 of the
 # witness's signs as bytes); solver_signings is 1 and edges_checked 4m - 1.
 REDUCED_GRID = {
-    (1, 2): ((7, 95, "88cb8111c3e9abdc"), (90, 116, "24893dc24a1e7941"),
-             (456, 138, "2d388c84e977d6c8")),
-    (1, 3): ((7, 114, "e35c7a0f3bfb83cc"), (90, 135, "5198ad0ef2d1f471"),
-             (456, 157, "53b8dc31720eded6")),
-    (1, 4): ((7, 133, "3c3c3fbef72c8d86"), (90, 154, "8f7367f49f9c4ee7"),
-             (456, 176, "919e1582badd24d1")),
-    (2, 4): ((7, 192, "ec8c686bae77a09b"), (124, 242, "c4c3ccf39fe5a30d"),
-             (984, 293, "f643d5a1c6f7da33")),
-    (2, 5): ((7, 216, "e88c37761a9ec921"), (124, 266, "e5932c9f99611f2b"),
-             (984, 317, "e1fcc0509090df3a")),
-    (2, 6): ((7, 240, "a7e6c6a192b12b27"), (124, 290, "aa65aad157ffc859"),
-             (984, 341, "cc0c9ce143ef40d7")),
+    (1, 2): ((58, 95, "88cb8111c3e9abdc"), (68, 116, "d4024a00f853cfd7"),
+             (86, 138, "935db74d79f1a45f")),
+    (1, 3): ((58, 114, "e35c7a0f3bfb83cc"), (68, 135, "736df03662cf8cc7"),
+             (86, 157, "237a99349522110b")),
+    (1, 4): ((58, 133, "3c3c3fbef72c8d86"), (68, 154, "61678535bbb2340a"),
+             (86, 176, "fb618271cb4b5719")),
+    (2, 4): ((226, 192, "ec8c686bae77a09b"), (236, 242, "b0180d4c85c32f18"),
+             (258, 293, "39898ac281bf12f4")),
+    (2, 5): ((226, 216, "e88c37761a9ec921"), (236, 266, "2294d88c96d20512"),
+             (258, 317, "fb5994ad20195b8a")),
+    (2, 6): ((226, 240, "a7e6c6a192b12b27"), (236, 290, "64e4d48f54cfea07"),
+             (258, 341, "e54428055aa8b0b8")),
 }
 
 

@@ -20,6 +20,7 @@ from dpdefect import (
     colorable_all_covers,
     find_coloring,
     flag_path_instance,
+    graphs_up_to_iso,
     hard_cover_signing,
     sample_covers,
 )
@@ -30,12 +31,13 @@ from dpdefect.solver import (
     _block_load,
     _lowest_uncolorable,
     _plan,
-    sample_signings,
+    _uncolorable_by_loads,
 )
 from conftest import (
     build_cover_graph,
     complete_graph,
     cycle_graph,
+    drawn_signings,
     first_uncolorable,
     k2,
     random_graph,
@@ -399,8 +401,8 @@ def test_sample_covers_deterministic():
     a = sample_covers(inst, 500, seed=9)
     b = sample_covers(inst, 500, seed=9)
     assert a == b
-    assert list(sample_signings(inst.graph, 500, 9)) != list(
-        sample_signings(inst.graph, 500, 10)
+    assert list(drawn_signings(inst.graph, 500, 9)) != list(
+        drawn_signings(inst.graph, 500, 10)
     )
 
 
@@ -522,9 +524,8 @@ def test_sample_covers_matches_a_plain_search_loop():
     for inst, count, seed in ((host, 2000, 0), (triangle, 50, 3)):
         scan = sample_covers(inst, count, seed)
         examined, witness = 0, None
-        for signs in sample_signings(inst.graph, count, seed):
+        for signing in drawn_signings(inst.graph, count, seed):
             examined += 1
-            signing = CoverSigning(inst.graph.sorted_edges, signs)
             if find_coloring(inst, signing) is None:
                 witness = signing
                 break
@@ -637,3 +638,47 @@ def test_graphs_without_a_split_off_block_search_every_signing():
     # with no memo, a repeated signing is searched again
     once = scan_stream(k4, [5])
     assert scan_stream(k4, [5] * 3).nodes_expanded == 3 * once.nodes_expanded
+
+
+# ---------------------------------------------------------------------------
+# The load DP over the block-cut tree
+# ---------------------------------------------------------------------------
+
+def _agrees_with_the_walk(inst):
+    """The load DP finds an uncolorable signing iff the map walk does, and
+    the whole-graph search fails on the DP's."""
+    bits, _ = _uncolorable_by_loads(inst, {})
+    assert (bits is None) == (_lowest_uncolorable(inst)[0] is None)
+    if bits is not None:
+        assert find_coloring(inst, CoverSigning.from_bits(inst.graph, bits)) is None
+
+
+@pytest.mark.parametrize("i,j", [(1, 2), (1, 3), (2, 4), (0, 1), (1, 1)])
+def test_load_dp_agrees_with_the_walk_on_every_class_up_to_n5(i, j):
+    params = DefectParams(i, j)
+    for n in range(1, 6):
+        for graph in graphs_up_to_iso(n):
+            _agrees_with_the_walk(WeightedInstance.uniform(graph, params))
+
+
+@st.composite
+def trees_plus_edges(draw):
+    """A random tree on at most 9 vertices plus up to 5 more edges, under
+    random caps down to -1: many cut vertices, and blocks of every size."""
+    n = draw(st.integers(1, 9))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    if n > 1:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        extra = draw(st.lists(pairs.filter(lambda e: e[0] != e[1]), max_size=5))
+        edges |= {(min(e), max(e)) for e in extra}
+    i = draw(st.integers(0, 2))
+    params = DefectParams(i, draw(st.integers(i, i + 2)))
+    cap = st.tuples(st.integers(-1, params.i), st.integers(-1, params.j))
+    caps = draw(st.lists(cap, min_size=n, max_size=n))
+    return WeightedInstance(SimpleGraph.from_edges(n, edges), params, CapacityFunction(tuple(caps)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees_plus_edges())
+def test_load_dp_agrees_with_the_walk_on_trees_plus_edges(inst):
+    _agrees_with_the_walk(inst)
