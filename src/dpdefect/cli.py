@@ -3,12 +3,16 @@
 Exit codes: 0 = affirmative (colorable / valid / sparse / critical
 confirmed / all checks pass), 1 = negative, 2 = usage or input error.
 JSON output is deterministic for a fixed (instance, strategy, seed);
-wall-clock timing is only attached when --timing is passed.
+wall-clock timing is only attached when --timing is passed.  `main` is
+the one place that turns an error into exit code 2: every ValueError, from
+the CLI's own usage checks or from the library, is an input error, and any
+other exception propagates.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -39,20 +43,16 @@ from .potential import (
 from .solver import DEFAULT_ENUMERATION_CEILING, check_coloring, find_coloring, sample_covers
 
 
-class _CliError(Exception):
-    """Input or usage problem: reported on stderr, exit code 2."""
-
-
 def _load_instance(path: str) -> tuple[WeightedInstance, CoverSigning | None]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     try:
         return parse_instance(text)
     except InstanceFormatError as exc:
-        raise _CliError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _signing_json(signing: CoverSigning | None):
@@ -76,19 +76,22 @@ def _emit(args, payload: dict, lines: list[str], started: float) -> None:
             print(f"wall_time_ms: {int((time.monotonic() - started) * 1000)}")
 
 
-def _params_json(params: DefectParams) -> dict:
-    return {"i": params.i, "j": params.j}
+def _instance_json(instance: WeightedInstance, signing: CoverSigning | None) -> dict:
+    """The fields of every report on one instance."""
+    params = instance.params
+    return {
+        "instance_digest": instance_digest(instance, signing),
+        "params": {"i": params.i, "j": params.j},
+    }
 
 
 def _cmd_solve(args) -> tuple[int, dict, list[str]]:
     instance, signing = _load_instance(args.file)
     if signing is None:
-        raise _CliError("instance file carries no cover signs; 'solve' needs them")
+        raise ValueError("instance file carries no cover signs; 'solve' needs them")
     cmap = find_coloring(instance, signing)
     payload = {
-        "command": "solve",
-        "instance_digest": instance_digest(instance, signing),
-        "params": _params_json(instance.params),
+        **_instance_json(instance, signing),
         "verdict": "colorable" if cmap is not None else "not-colorable",
         "map": map_to_str(cmap) if cmap is not None else None,
     }
@@ -100,16 +103,10 @@ def _cmd_solve(args) -> tuple[int, dict, list[str]]:
 def _cmd_check(args) -> tuple[int, dict, list[str]]:
     instance, signing = _load_instance(args.file)
     if signing is None:
-        raise _CliError("instance file carries no cover signs; 'check' needs them")
-    try:
-        cmap = map_from_str(args.map)
-        violation = check_coloring(instance, signing, cmap)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+        raise ValueError("instance file carries no cover signs; 'check' needs them")
+    violation = check_coloring(instance, signing, map_from_str(args.map))
     payload = {
-        "command": "check",
-        "instance_digest": instance_digest(instance, signing),
-        "params": _params_json(instance.params),
+        **_instance_json(instance, signing),
         "verdict": "valid" if violation is None else "violation",
         "violation": None
         if violation is None
@@ -131,31 +128,21 @@ def _cmd_check(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_potential(args) -> tuple[int, dict, list[str]]:
     if args.subset is not None and args.min is not None:
-        raise _CliError("--subset and --min cannot be combined")
+        raise ValueError("--subset and --min cannot be combined")
     instance, signing = _load_instance(args.file)
-    payload: dict = {
-        "command": "potential",
-        "instance_digest": instance_digest(instance, signing),
-        "params": _params_json(instance.params),
-    }
+    payload = _instance_json(instance, signing)
     lines = []
     if args.subset is not None:
-        try:
-            subset = tuple(_ascii_int(t) for t in args.subset.split(",") if t != "")
-            if len(set(subset)) != len(subset):
-                raise ValueError(f"repeated vertex in --subset {args.subset!r}")
-            value = subset_potential(instance, subset)
-        except ValueError as exc:
-            raise _CliError(str(exc)) from exc
+        subset = tuple(_ascii_int(t) for t in args.subset.split(",") if t != "")
+        if len(set(subset)) != len(subset):
+            raise ValueError(f"repeated vertex in --subset {args.subset!r}")
+        value = subset_potential(instance, subset)
         payload["subset"] = list(subset)
         payload["value"] = value
         lines.append(f"potential of {list(subset)}: {value}")
     elif args.min is not None:
         mode = MODE_NONEMPTY if args.min == "nonempty" else MODE_NONEMPTY_PROPER
-        try:
-            report = min_potential_subset(instance, mode)
-        except ValueError as exc:
-            raise _CliError(str(exc)) from exc
+        report = min_potential_subset(instance, mode)
         payload["mode"] = report.mode
         payload["subset"] = list(report.subset)
         payload["value"] = report.value
@@ -176,9 +163,7 @@ def _cmd_charges(args) -> tuple[int, dict, list[str]]:
     rho2 = 2 * subset_potential(instance, range(instance.graph.n))
     residual = ledger.total_doubled - rho2
     payload = {
-        "command": "charges",
-        "instance_digest": instance_digest(instance, signing),
-        "params": _params_json(instance.params),
+        **_instance_json(instance, signing),
         "charges_doubled": list(ledger.charges_doubled),
         "classes": list(ledger.classes),
         "total_doubled": ledger.total_doubled,
@@ -199,14 +184,9 @@ def _cmd_charges(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_sparsity(args) -> tuple[int, dict, list[str]]:
     instance, signing = _load_instance(args.file)
-    try:
-        result = sparsity_test(instance.graph, instance.params)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    result = sparsity_test(instance.graph, instance.params)
     payload = {
-        "command": "sparsity",
-        "instance_digest": instance_digest(instance, signing),
-        "params": _params_json(instance.params),
+        **_instance_json(instance, signing),
         "verdict": "sparse" if result.sparse else "dense",
         "witness": None if result.witness is None else list(result.witness),
         "margin": result.margin,
@@ -219,11 +199,7 @@ def _cmd_sparsity(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_construct(args) -> tuple[int, dict, list[str]]:
-    try:
-        params = DefectParams(args.i, args.j)
-        instance, spec = flag_path_instance(params, args.m)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    instance, spec = flag_path_instance(DefectParams(args.i, args.j), args.m)
     signing = hard_cover_signing(spec) if args.cover else None
     text = serialize_instance(instance, signing)
     if args.output:
@@ -231,14 +207,12 @@ def _cmd_construct(args) -> tuple[int, dict, list[str]]:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise _CliError(f"cannot write {args.output}: {exc}") from exc
+            raise ValueError(f"cannot write {args.output}: {exc}") from exc
         lines = [f"wrote {args.output}"]
     else:
         lines = [text.rstrip("\n")]
     payload = {
-        "command": "construct",
-        "instance_digest": instance_digest(instance, signing),
-        "params": _params_json(params),
+        **_instance_json(instance, signing),
         "m": args.m,
         "vertices": instance.graph.n,
         "edges": instance.graph.edge_count(),
@@ -249,26 +223,22 @@ def _cmd_construct(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_critical(args) -> tuple[int, dict, list[str]]:
     if args.workers < 1:
-        raise _CliError(f"--workers must be at least 1, got {args.workers}")
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     if args.construct and args.file:
-        raise _CliError("critical takes an instance file or --construct i,j,m, not both")
+        raise ValueError("critical takes an instance file or --construct i,j,m, not both")
     if args.strategy != "sampled" and (args.count is not None or args.seed is not None):
-        raise _CliError("--count and --seed apply only to --strategy sampled")
+        raise ValueError("--count and --seed apply only to --strategy sampled")
     if args.strategy != "exhaustive" and args.max_edges is not None:
-        raise _CliError("--max-edges applies only to --strategy exhaustive")
+        raise ValueError("--max-edges applies only to --strategy exhaustive")
     if args.max_edges is not None and args.max_edges < 0:
-        raise _CliError(f"--max-edges must be at least 0, got {args.max_edges}")
+        raise ValueError(f"--max-edges must be at least 0, got {args.max_edges}")
     if args.construct:
-        try:
-            i, j, m = _ints(args.construct, 3)
-            params = DefectParams(i, j)
-            instance, spec = flag_path_instance(params, m)
-        except ValueError as exc:
-            raise _CliError(str(exc)) from exc
+        i, j, m = _ints(args.construct, 3)
+        instance, spec = flag_path_instance(DefectParams(i, j), m)
         signing = None
     else:
         if not args.file:
-            raise _CliError("critical needs an instance file or --construct i,j,m")
+            raise ValueError("critical needs an instance file or --construct i,j,m")
         instance, signing = _load_instance(args.file)
         spec = None
 
@@ -278,22 +248,16 @@ def _cmd_critical(args) -> tuple[int, dict, list[str]]:
         )
     elif args.strategy == "reduced":
         if spec is None:
-            raise _CliError("--strategy reduced requires --construct i,j,m")
+            raise ValueError("--strategy reduced requires --construct i,j,m")
         strategy = harness.Reduced(spec)
     else:
         strategy = harness.Sampled(
             1000 if args.count is None else args.count, args.seed or 0
         )
 
-    try:
-        verdict = harness.is_critical(instance, strategy, workers=args.workers)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
-
+    verdict = harness.is_critical(instance, strategy, workers=args.workers)
     payload = {
-        "command": "critical",
-        "instance_digest": instance_digest(instance, signing),
-        "params": _params_json(instance.params),
+        **_instance_json(instance, signing),
         "strategy": args.strategy,
         "verdict": verdict.verdict,
         "certifying": verdict.certifying,
@@ -315,17 +279,13 @@ def _cmd_critical(args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_enumerate(args) -> tuple[int, dict, list[str]]:
-    try:
-        params = DefectParams(args.i, args.j)
-        report = harness.enumerate_critical(params, args.n, mode=args.mode)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    params = DefectParams(args.i, args.j)
+    report = harness.enumerate_critical(params, args.n, mode=args.mode)
     consistent = not report.potential_violations and not report.sparsity_violations
     if report.bound_satisfied is False and harness.in_guaranteed_range(params):
         consistent = False
     payload = {
-        "command": "enumerate",
-        "params": _params_json(params),
+        "params": {"i": params.i, "j": params.j},
         "n": args.n,
         "mode": report.mode,
         "graphs_examined": report.graphs_examined,
@@ -357,28 +317,12 @@ def _ints(text: str, size: int) -> tuple[int, ...]:
 
 
 def _cmd_verify(args) -> tuple[int, dict, list[str]]:
-    try:
-        pairs = [_ints(chunk, 2) for chunk in args.pairs.split(";")]
-        ms = [_ascii_int(t) for t in args.ms.split(",")]
-        crits = [_ints(c, 3) for c in args.criticality.split(";")] if args.criticality else []
-        report = harness.verify_sharpness_suite(pairs, ms, criticality=crits)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    pairs = [_ints(chunk, 2) for chunk in args.pairs.split(";")]
+    ms = [_ascii_int(t) for t in args.ms.split(",")]
+    crits = [_ints(c, 3) for c in args.criticality.split(";")] if args.criticality else []
+    report = harness.verify_sharpness_suite(pairs, ms, criticality=crits)
     payload = {
-        "command": "verify",
-        "entries": [
-            {
-                "i": e.i,
-                "j": e.j,
-                "m": e.m,
-                "counts_ok": e.counts_ok,
-                "uncolorable": e.uncolorable,
-                "criticality": e.criticality,
-                "potential_ok": e.potential_ok,
-                "ok": e.ok,
-            }
-            for e in report.entries
-        ],
+        "entries": [dataclasses.asdict(e) | {"ok": e.ok} for e in report.entries],
         "verdict": "pass" if report.all_ok else "fail",
     }
     lines = [
@@ -393,14 +337,9 @@ def _cmd_verify(args) -> tuple[int, dict, list[str]]:
 
 def _cmd_sample(args) -> tuple[int, dict, list[str]]:
     instance, signing = _load_instance(args.file)
-    try:
-        scan = sample_covers(instance, args.count, args.seed)
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    scan = sample_covers(instance, args.count, args.seed)
     payload = {
-        "command": "sample",
-        "instance_digest": instance_digest(instance, signing),
-        "params": _params_json(instance.params),
+        **_instance_json(instance, signing),
         "count": args.count,
         "seed": args.seed,
         "examined": scan.signings_examined,
@@ -509,9 +448,10 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         code, payload, lines = args.handler(args)
-    except _CliError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    payload["command"] = args.command
     _emit(args, payload, lines, started)
     return code
 

@@ -252,20 +252,12 @@ class CountsReport:
     density_rhs: int  # (2i+1)|V| + j - i + 1
 
     @property
-    def vertices_ok(self) -> bool:
-        return self.n_vertices == self.expected_vertices
-
-    @property
-    def edges_ok(self) -> bool:
-        return self.n_edges == self.expected_edges
-
-    @property
-    def density_ok(self) -> bool:
-        return self.density_lhs == self.density_rhs
-
-    @property
     def all_ok(self) -> bool:
-        return self.vertices_ok and self.edges_ok and self.density_ok
+        return (
+            self.n_vertices == self.expected_vertices
+            and self.n_edges == self.expected_edges
+            and self.density_lhs == self.density_rhs
+        )
 
 
 def verify_counts(params: DefectParams, m: int) -> CountsReport:

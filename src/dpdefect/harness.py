@@ -115,7 +115,7 @@ def in_guaranteed_range(params: DefectParams) -> bool:
 
 
 def _phase_covers(
-    instance: WeightedInstance, strategy: Strategy, deleted: Edge | None, memo: dict | None = None
+    instance: WeightedInstance, strategy: Strategy, deleted: Edge | None, memo: dict | None
 ) -> tuple[CoverSigning | None, int, int, int]:
     """One colorability-for-all-covers phase: (witness, examined, signings
     solved, nodes).  Exhaustive and Reduced (the load DP, with the run's
@@ -146,15 +146,15 @@ def _phase_covers(
 
 
 def _check_deleted_edge(args) -> tuple[Edge, CoverSigning | None, int, int, int]:
-    instance, strategy, edge = args
-    return (edge, *_phase_covers(instance, strategy, edge))
+    instance, strategy, edge, memo = args
+    return (edge, *_phase_covers(instance, strategy, edge, memo))
 
 
 def _deleted_edge_results(work: list, workers: int) -> Iterator[tuple]:
-    """`_check_deleted_edge` over `work`, yielded in order.  The edges run in
-    a process pool of min(workers, edges, CPUs) processes, or serially when
-    that is 1; closing the iterator early cancels the edges that have not
-    started."""
+    """`_check_deleted_edge` over `work`, (instance, strategy, edge, memo)
+    tuples, yielded in order.  The edges run in a process pool of
+    min(workers, edges, CPUs) processes, or serially when that is 1; closing
+    the iterator early cancels the edges that have not started."""
     pool_size = min(workers, len(work), os.cpu_count() or 1)
     if pool_size <= 1:
         yield from map(_check_deleted_edge, work)
@@ -210,64 +210,51 @@ def is_critical(
     decides G and the G - e of one deleted edge per automorphism orbit by
     the load DP (`_uncolorable_by_loads`), with one block memo for the
     run, and hands the solver only each uncolorable signing the DP
-    rebuilds; `workers` does not matter.
+    rebuilds.  Its memo would not be shared across processes, so it runs
+    phase 2 serially, and `workers` does not matter.
     """
     graph = instance.graph
     certifying = not isinstance(strategy, Sampled)
-    orbit_map = None
+    orbit_map = memo = None
     edges_to_check = list(graph.sorted_edges)
-    memo: dict = {}  # the blocks a Reduced run has decided
     if isinstance(strategy, Reduced):
         _check_reduced_spec(instance, strategy.spec)
         orbit_map = edge_orbits(strategy.spec)
         edges_to_check = [orbit[0] for orbit in orbit_map]
+        memo = {}  # the blocks the run has decided
+        workers = 1
 
-    witness, covers, solved, nodes = _phase_covers(instance, strategy, None, memo)
-    if witness is None:
+    def verdict(kind, edge=None, vertex=None, bad=None, potential_ok=None):
+        # a refutation certifies even when its witnesses were sampled
         return CriticalityVerdict(
-            COLORABLE, certifying, None, None, None, None,
-            covers, 0, nodes, orbit_map, None, solved,
+            kind, certifying or kind == NOT_CRITICAL, witness, edge, vertex, bad,
+            covers, edges_checked, nodes, orbit_map, potential_ok, solved,
         )
 
+    witness, covers, solved, nodes = _phase_covers(instance, strategy, None, memo)
+    edges_checked = 0
+    if witness is None:
+        return verdict(COLORABLE)
     if graph.n >= 2:
         for v in range(graph.n):
             if graph.degree(v) == 0:
                 # Isolated vertex: {v} or G - v is a non-colorable proper subgraph.
-                return CriticalityVerdict(
-                    NOT_CRITICAL, True, witness, None, v, None,
-                    covers, 0, nodes, orbit_map, None, solved,
-                )
+                return verdict(NOT_CRITICAL, vertex=v)
 
-    if isinstance(strategy, Reduced):
-        results = ((e, *_phase_covers(instance, strategy, e, memo)) for e in edges_to_check)
-    else:
-        work = [(instance, strategy, e) for e in edges_to_check]
-        results = _deleted_edge_results(work, workers)
-
-    edges_checked = 0
-    with closing(results):
+    work = [(instance, strategy, e, memo) for e in edges_to_check]
+    with closing(_deleted_edge_results(work, workers)) as results:
         for edge, bad, examined, edge_solved, edge_nodes in results:
             covers += examined
             solved += edge_solved
             nodes += edge_nodes
             edges_checked += 1
             if bad is not None:
-                return CriticalityVerdict(
-                    NOT_CRITICAL, True, witness, edge, None, bad,
-                    covers, edges_checked, nodes, orbit_map, None, solved,
-                )
+                return verdict(NOT_CRITICAL, edge=edge, bad=bad)
 
     if not certifying:
-        return CriticalityVerdict(
-            UNREFUTED, False, witness, None, None, None,
-            covers, edges_checked, nodes, orbit_map, None, solved,
-        )
+        return verdict(UNREFUTED)
     rho = subset_potential(instance, range(graph.n))
-    potential_ok = rho <= instance.params.i - instance.params.j - 1
-    return CriticalityVerdict(
-        CRITICAL, True, witness, None, None, None,
-        covers, edges_checked, nodes, orbit_map, potential_ok, solved,
-    )
+    return verdict(CRITICAL, potential_ok=rho <= instance.params.i - instance.params.j - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -810,5 +797,5 @@ def sampled_edge_deletion_sweep(
     stream with another edge under a neighbouring seed.
     """
     strategy = Sampled(count, seed)
-    work = [(instance, strategy, e) for e in instance.graph.sorted_edges]
+    work = [(instance, strategy, e, None) for e in instance.graph.sorted_edges]
     return tuple((edge, bad) for edge, bad, *_ in _deleted_edge_results(work, workers))

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import Mock
 
 import pytest
 
@@ -17,6 +18,7 @@ from dpdefect import (
     flag_path_instance,
     serialize_instance,
 )
+from dpdefect import cli, harness
 from dpdefect.cli import main
 from dpdefect.solver import DEFAULT_ENUMERATION_CEILING
 from conftest import cycle_graph
@@ -262,6 +264,14 @@ def test_missing_file_is_usage_error(capsys):
     assert code == 2 and "cannot read" in err
 
 
+def test_non_utf8_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.dpg"
+    path.write_bytes(b"dpgraph 1\nparams i=0 j=0\nvertices 2\nedge 0 1 P\xff\n")
+    code, stdout, err = run(capsys, ["solve", str(path)])
+    assert code == 2 and stdout == ""
+    assert err.startswith(f"error: cannot read {path}: ") and "utf-8" in err
+
+
 def test_malformed_file_reports_line(tmp_path, capsys):
     path = tmp_path / "bad.dpg"
     path.write_text("dpgraph 1\nparams i=1 j=2\nvertices 2\nedge 0 0 P\n")
@@ -290,6 +300,40 @@ def test_bad_integer_fields_are_input_errors(tmp_path, capsys, body):
     path.write_text("dpgraph 1\n" + body, encoding="utf-8")
     code, stdout, err = run(capsys, ["solve", str(path)])
     assert code == 2 and stdout == "" and "line" in err
+
+
+# Each subcommand, with a library call its handler makes.  K2S is a signed edge.
+LIBRARY_CALLS = [
+    (["solve", "K2S"], cli, "find_coloring"),
+    (["check", "K2S", "--map", "PR"], cli, "check_coloring"),
+    (["potential", "K2S"], cli, "subset_potential"),
+    (["potential", "K2S", "--subset", "0"], cli, "subset_potential"),
+    (["potential", "K2S", "--min", "nonempty"], cli, "min_potential_subset"),
+    (["charges", "K2S"], cli, "compute_charges"),
+    (["sparsity", "K2S"], cli, "sparsity_test"),
+    (["construct", "--i", "1", "--j", "2", "--m", "1"], cli, "flag_path_instance"),
+    (["critical", "K2S"], harness, "is_critical"),
+    (["enumerate", "--i", "1", "--j", "2", "--n", "3"], harness, "enumerate_critical"),
+    (["verify"], harness, "verify_sharpness_suite"),
+    (["sample", "K2S", "--count", "1"], cli, "sample_covers"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,owner,name", LIBRARY_CALLS, ids=[" ".join(argv) for argv, _, _ in LIBRARY_CALLS]
+)
+def test_value_errors_exit_2_and_internal_errors_propagate(
+    tmp_path, capsys, monkeypatch, argv, owner, name
+):
+    path = tmp_path / "k2s.dpg"
+    path.write_text("dpgraph 1\nparams i=0 j=0\nvertices 2\nedge 0 1 P\n")
+    argv = [str(path) if a == "K2S" else a for a in argv]
+    monkeypatch.setattr(owner, name, Mock(side_effect=ValueError("boom")))
+    assert run(capsys, argv) == (2, "", "error: boom\n")
+    # an internal fault (say, a cross-check disagreement) is not an input error
+    monkeypatch.setattr(owner, name, Mock(side_effect=RuntimeError("boom")))
+    with pytest.raises(RuntimeError, match="boom"):
+        main(argv)
 
 
 # Exact --json stdout of fixed commands.  C3 is the triangle at (0, 0) and
