@@ -268,6 +268,16 @@ def _vertex_pairs(n: int) -> list[Edge]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
+def _adjacency(n: int, mask: int, pairs: list[Edge]) -> list[int]:
+    """Each vertex's neighbours in the graph of `mask`, as a bitmask."""
+    adjacent = [0] * n
+    for k, (u, v) in enumerate(pairs):
+        if (mask >> k) & 1:
+            adjacent[u] |= 1 << v
+            adjacent[v] |= 1 << u
+    return adjacent
+
+
 def _canonical_form(
     n: int, mask: int, pairs: list[Edge], pair_idx: dict[Edge, int]
 ) -> tuple[int, list[tuple[int, ...]]]:
@@ -285,11 +295,7 @@ def _canonical_form(
     automorphism sending l to the first minimiser's label of w, and the
     minimisers give every automorphism once.
     """
-    adjacent = [0] * n
-    for k, (u, v) in enumerate(pairs):
-        if (mask >> k) & 1:
-            adjacent[u] |= 1 << v
-            adjacent[v] |= 1 << u
+    adjacent = _adjacency(n, mask, pairs)
     degrees = [a.bit_count() for a in adjacent]
     candidates = [
         [v for v in range(n) if degrees[v] == d] for d in sorted(degrees, reverse=True)
@@ -322,7 +328,54 @@ def _canonical_form(
     tau = [0] * n
     for label, v in enumerate(minimisers[0]):
         tau[v] = label
-    return canonical, [tuple(tau[v] for v in at) for at in minimisers]
+    return canonical, [tuple(map(tau.__getitem__, at)) for at in minimisers]
+
+
+def _vertex_labels(adjacent: list[int]) -> list[tuple[int, int, int]]:
+    """Each vertex's (degree, sum of its neighbours' degrees, edges among its
+    neighbours).  An isomorphism maps every vertex to one with the same
+    label, so the sorted labels do not depend on the vertex numbering."""
+    degrees = [a.bit_count() for a in adjacent]
+    labels = []
+    for a, degree in zip(adjacent, degrees):
+        total = among = 0
+        rest = a
+        while rest:
+            w = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            total += degrees[w]
+            among += (a & adjacent[w]).bit_count()
+        labels.append((degree, total, among // 2))
+    return labels
+
+
+def _isomorphic(
+    adjacent: list[int], labels: list, other: list[int], other_labels: list
+) -> bool:
+    """Whether some bijection that keeps the `_vertex_labels` maps the graph
+    with adjacency masks `adjacent` onto `other`.  Vertices 0, 1, ... are
+    mapped in turn, and a choice must match the adjacency of the image to
+    the images of every vertex mapped before; the search backtracks over
+    every choice, so the answer is exact."""
+    n = len(adjacent)
+    image = [0] * n
+
+    def extend(v: int, used: int) -> bool:
+        if v == n:
+            return True
+        need = 0
+        for u in range(v):
+            if (adjacent[v] >> u) & 1:
+                need |= 1 << image[u]
+        for w in range(n):
+            if (used >> w) & 1 or other_labels[w] != labels[v] or other[w] & used != need:
+                continue
+            image[v] = w
+            if extend(v + 1, used | (1 << w)):
+                return True
+        return False
+
+    return extend(0, 0)
 
 
 def _iso_levels(
@@ -336,11 +389,19 @@ def _iso_levels(
     The classes grow by augmentation (McKay, "Isomorph-free exhaustive
     generation", 1998): every graph with k + 1 edges is a graph with k
     edges plus one non-edge.  Non-edges in one orbit of the automorphism
-    group give isomorphic children, so only one per orbit is
-    canonicalised.  Each child records the class it grew from, and since
-    every (G - e, e) step is taken up to isomorphism, a class's parents are
-    exactly the canonical masks of its G - e.
+    group give isomorphic children, so only one child per orbit is made.
+    A child whose labelled mask was already made in this level has its
+    class.  Otherwise it costs one invariant, its sorted `_vertex_labels`,
+    and an exact test (`_isomorphic`) against each class of the level that
+    has the same invariant; `_canonical_form` runs only when none matches,
+    so once per class, on the first child found in it.  Up to n = 7 no two
+    classes share the invariant, so a merged child costs one test; at n = 8,
+    883 of 97,514 tests fail.  Each child records the class it grew from,
+    and since every (G - e, e) step is taken up to isomorphism, a class's
+    parents are exactly the canonical masks of its G - e.
     """
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
     if n > max_n:
         raise ValueError(f"isomorphism enumeration ceiling exceeded: n={n} > {max_n}")
     pairs = _vertex_pairs(n)
@@ -350,7 +411,11 @@ def _iso_levels(
     while level:
         yield level
         grown: dict[int, tuple[set[int], list]] = {}
+        class_of: dict[int, int] = {}  # labelled child mask -> canonical mask
+        # sorted vertex labels -> (adjacency, labels, canonical mask) per class
+        buckets: dict[tuple, list[tuple[list[int], list, int]]] = {}
         for mask, (_, automorphisms) in level.items():
+            adjacent = _adjacency(n, mask, pairs)
             seen = mask
             for k, (u, v) in enumerate(pairs):
                 if (seen >> k) & 1:
@@ -358,8 +423,23 @@ def _iso_levels(
                 for alpha in automorphisms:
                     pu, pv = alpha[u], alpha[v]
                     seen |= 1 << pair_idx[(pu, pv) if pu < pv else (pv, pu)]
-                child, child_automorphisms = _canonical_form(n, mask | (1 << k), pairs, pair_idx)
-                grown.setdefault(child, (set(), child_automorphisms))[0].add(mask)
+                child = mask | (1 << k)
+                canonical = class_of.get(child)
+                if canonical is None:
+                    child_adjacent = adjacent.copy()
+                    child_adjacent[u] |= 1 << v
+                    child_adjacent[v] |= 1 << u
+                    labels = _vertex_labels(child_adjacent)
+                    bucket = buckets.setdefault(tuple(sorted(labels)), [])
+                    for other, other_labels, canonical in bucket:
+                        if _isomorphic(child_adjacent, labels, other, other_labels):
+                            break
+                    else:
+                        canonical, child_automorphisms = _canonical_form(n, child, pairs, pair_idx)
+                        bucket.append((child_adjacent, labels, canonical))
+                        grown[canonical] = (set(), child_automorphisms)
+                    class_of[child] = canonical
+                grown[canonical][0].add(mask)
         level = grown
 
 

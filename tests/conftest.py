@@ -1,12 +1,15 @@
 """Shared graph builders, seeded instance generators, the explicit cover
 graph used as an independent reference for the sign XOR rule, the full
-mask scan used as the reference for isomorphism-class generation, the
-binary-counter solver loop used as the oracle for every quantification
-over all signings, and the submodularity residual of the potential."""
+mask scan and Polya's count used as the references for isomorphism-class
+generation, the binary-counter solver loop used as the oracle for every
+quantification over all signings, and the submodularity residual of the
+potential."""
 
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -184,6 +187,41 @@ def graphs_by_mask_scan(n: int) -> list[SimpleGraph]:
                 )
             )
     return reps
+
+
+def _partitions(n: int, largest: int) -> Iterator[list[int]]:
+    """The partitions of n into parts of at most `largest`, largest first."""
+    if n == 0:
+        yield []
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield [first, *rest]
+
+
+def graph_counts_by_edges(n: int) -> list[int]:
+    """The number of graphs on n vertices with k edges up to isomorphism,
+    for k = 0, 1, ..., C(n, 2), by Polya's theorem: the cycle index of S_n
+    acting on vertex pairs (Harary and Palmer, *Graphical Enumeration*,
+    1973, ch. 4).  A permutation whose cycles have lengths a, b, ... moves
+    the pairs in cycles: gcd(a, b) of length lcm(a, b) across two of its
+    cycles, and (a - 1) // 2 of length a, plus one of length a / 2 when a
+    is even, within one."""
+    total = [0] * (n * (n - 1) // 2 + 1)
+    for cycles in _partitions(n, n):
+        permutations = math.factorial(n)
+        for length, repeats in Counter(cycles).items():
+            permutations //= length**repeats * math.factorial(repeats)
+        pair_cycles = []
+        for index, a in enumerate(cycles):
+            pair_cycles += [a] * ((a - 1) // 2) + [a // 2] * (1 - a % 2)
+            for b in cycles[index + 1:]:
+                pair_cycles += [math.lcm(a, b)] * math.gcd(a, b)
+        fixed = [1] + [0] * (len(total) - 1)  # edge sets fixed, by size
+        for length in pair_cycles:
+            for k in range(len(fixed) - 1, length - 1, -1):
+                fixed[k] += fixed[k - length]
+        total = [t + permutations * f for t, f in zip(total, fixed)]
+    return [t // math.factorial(n) for t in total]
 
 
 def check_submodularity(

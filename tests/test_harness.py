@@ -7,7 +7,7 @@ import random
 from concurrent.futures import Future
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dpdefect.harness as harness
@@ -48,8 +48,11 @@ from dpdefect import (
 from dpdefect.harness import (
     CriticalEntry,
     _WeightedTables,
+    _adjacency,
     _canonical_form,
     _iso_levels,
+    _isomorphic,
+    _vertex_labels,
     _vertex_pairs,
     in_guaranteed_range,
 )
@@ -58,6 +61,7 @@ from conftest import (
     cycle_graph,
     drawn_signings,
     first_uncolorable,
+    graph_counts_by_edges,
     graphs_by_mask_scan,
     k2,
     random_caps,
@@ -181,6 +185,34 @@ def test_graphs_up_to_iso_ceiling():
         graphs_up_to_iso(8)
 
 
+def test_iso_levels_reject_a_negative_vertex_count():
+    for call in (
+        lambda: list(_iso_levels(-1)),
+        lambda: graphs_up_to_iso(-1),
+        lambda: enumerate_critical(P12, -1),
+    ):
+        with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+            call()
+
+
+def test_level_sizes_are_polyas_counts():
+    for n in range(8):
+        assert [len(level) for level in _iso_levels(n)] == graph_counts_by_edges(n), n
+
+
+def test_iso_levels_canonicalise_each_class_once(monkeypatch):
+    calls = []
+    canonical_form = harness._canonical_form
+
+    def counted(n, mask, pairs, pair_idx):
+        calls.append(mask)
+        return canonical_form(n, mask, pairs, pair_idx)
+
+    monkeypatch.setattr(harness, "_canonical_form", counted)
+    classes = [mask for level in _iso_levels(6) for mask in level]
+    assert len(calls) == len(classes) == 156
+
+
 def _relabel(mask, perm, pairs, pair_idx):
     """The mask of the graph of `mask` with vertex v relabelled perm[v]."""
     out = 0
@@ -191,7 +223,7 @@ def _relabel(mask, perm, pairs, pair_idx):
 
 
 def test_recorded_parents_are_the_classes_of_every_g_minus_e():
-    for n in range(7):
+    for n in range(8):
         pairs = _vertex_pairs(n)
         pair_idx = {e: k for k, e in enumerate(pairs)}
         for edges, level in enumerate(_iso_levels(n)):
@@ -202,6 +234,70 @@ def test_recorded_parents_are_the_classes_of_every_g_minus_e():
                     for k in range(len(pairs))
                     if (mask >> k) & 1
                 }, (n, mask)
+
+
+@st.composite
+def _relabelled_graphs(draw):
+    """(n, the mask of a graph, a relabelling v -> perm[v]), n <= 8."""
+    n = draw(st.integers(1, 8))
+    mask = draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
+    return n, mask, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_relabelled_graphs())
+def test_a_relabelling_keeps_the_vertex_labels_and_is_isomorphic(case):
+    n, mask, perm = case
+    pairs = _vertex_pairs(n)
+    pair_idx = {e: k for k, e in enumerate(pairs)}
+    adjacent = _adjacency(n, mask, pairs)
+    moved = _adjacency(n, _relabel(mask, perm, pairs, pair_idx), pairs)
+    labels, moved_labels = _vertex_labels(adjacent), _vertex_labels(moved)
+    assert [moved_labels[perm[v]] for v in range(n)] == labels
+    assert sorted(moved_labels) == sorted(labels)
+    assert _isomorphic(adjacent, labels, moved, moved_labels)
+
+
+def _cube_and_wagner():
+    """Two cubic triangle-free graphs on 8 vertices: every vertex has label
+    (3, 9, 0), but the cube is bipartite and the Wagner graph is not."""
+    pairs = _vertex_pairs(8)
+    cube = [(u, v) for u, v in pairs if (u ^ v).bit_count() == 1]
+    wagner = [(k, (k + 1) % 8) for k in range(8)] + [(k, k + 4) for k in range(4)]
+    return [sum(1 << pairs.index(tuple(sorted(e))) for e in edges) for edges in (cube, wagner)]
+
+
+@st.composite
+def _graph_pairs(draw):
+    """(n, two graph masks): a graph, or the cube, and a relabelling of what
+    up to three degree-keeping switches (ab, cd -> ac, bd) make of it, or
+    of the Wagner graph."""
+    if draw(st.booleans()):
+        n, (mask, other) = 8, _cube_and_wagner()
+    else:
+        n = draw(st.integers(4, 8))
+        mask = other = draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
+    pairs = _vertex_pairs(n)
+    pair_idx = {e: k for k, e in enumerate(pairs)}
+    for _ in range(draw(st.integers(0, 3))):
+        a, b, c, d = draw(st.permutations(range(n)))[:4]
+        ab, cd, ac, bd = (pair_idx[tuple(sorted(e))] for e in ((a, b), (c, d), (a, c), (b, d)))
+        if (other >> ab) & (other >> cd) & 1 and not ((other >> ac) | (other >> bd)) & 1:
+            other ^= (1 << ab) | (1 << cd) | (1 << ac) | (1 << bd)
+    return n, mask, _relabel(other, draw(st.permutations(range(n))), pairs, pair_idx)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graph_pairs())
+def test_isomorphic_agrees_with_canonical_forms_on_pairs_that_share_a_key(case):
+    n, mask, other = case
+    pairs = _vertex_pairs(n)
+    pair_idx = {e: k for k, e in enumerate(pairs)}
+    adjacent, other_adjacent = _adjacency(n, mask, pairs), _adjacency(n, other, pairs)
+    labels, other_labels = _vertex_labels(adjacent), _vertex_labels(other_adjacent)
+    assume(sorted(labels) == sorted(other_labels))
+    forms = {_canonical_form(n, m, pairs, pair_idx)[0] for m in (mask, other)}
+    assert _isomorphic(adjacent, labels, other_adjacent, other_labels) == (len(forms) == 1)
 
 
 def test_recorded_automorphisms_are_the_whole_group():
