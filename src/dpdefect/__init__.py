@@ -12,7 +12,6 @@ from .model import (
     POOR,
     RICH,
     TWISTED,
-    CapacityFunction,
     CoverSigning,
     DefectParams,
     InstanceFormatError,
@@ -78,7 +77,6 @@ from .harness import (
     Exhaustive,
     Reduced,
     Sampled,
-    SharpnessReport,
     enumerate_critical,
     graphs_up_to_iso,
     is_critical,

@@ -320,19 +320,20 @@ def _cmd_verify(args) -> tuple[int, dict, list[str]]:
     pairs = [_ints(chunk, 2) for chunk in args.pairs.split(";")]
     ms = [_ascii_int(t) for t in args.ms.split(",")]
     crits = [_ints(c, 3) for c in args.criticality.split(";")] if args.criticality else []
-    report = harness.verify_sharpness_suite(pairs, ms, criticality=crits)
+    entries = harness.verify_sharpness_suite(pairs, ms, criticality=crits)
+    all_ok = all(e.ok for e in entries)
     payload = {
-        "entries": [dataclasses.asdict(e) | {"ok": e.ok} for e in report.entries],
-        "verdict": "pass" if report.all_ok else "fail",
+        "entries": [dataclasses.asdict(e) | {"ok": e.ok} for e in entries],
+        "verdict": "pass" if all_ok else "fail",
     }
     lines = [
         f"(i={e.i}, j={e.j}, m={e.m}): counts {'ok' if e.counts_ok else 'FAIL'}, "
         f"cover {'uncolorable' if e.uncolorable else 'COLORABLE (FAIL)'}"
         + (f", criticality {e.criticality}" if e.criticality else "")
-        for e in report.entries
+        for e in entries
     ]
-    lines.append("all checks pass" if report.all_ok else "FAILURES present")
-    return (0 if report.all_ok else 1), payload, lines
+    lines.append("all checks pass" if all_ok else "FAILURES present")
+    return (0 if all_ok else 1), payload, lines
 
 
 def _cmd_sample(args) -> tuple[int, dict, list[str]]:

@@ -73,7 +73,7 @@ class FlagSpec:
     def top_middle_edge(self, k: int) -> Edge:
         return _normalize_edge(self.top, self.middles[k])
 
-    @cached_property  # read inside the reduced certifier's loops
+    @cached_property  # read by _check_reduced_spec, flag_of_edge and reduced_cover_iterator
     def edges(self) -> tuple[Edge, ...]:
         out = [self.base_top_edge]
         for k in range(len(self.middles)):

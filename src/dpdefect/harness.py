@@ -114,6 +114,16 @@ def in_guaranteed_range(params: DefectParams) -> bool:
     return params.i in (1, 2) and params.j >= 2 * params.i
 
 
+def _isolated_vertex(graph: SimpleGraph) -> int | None:
+    """The first isolated vertex of a graph with n >= 2, else None: such a
+    graph is not critical for any caps (see the module docstring)."""
+    if graph.n >= 2:
+        for v in range(graph.n):
+            if graph.degree(v) == 0:
+                return v
+    return None
+
+
 def _phase_covers(
     instance: WeightedInstance, strategy: Strategy, deleted: Edge | None, memo: dict | None
 ) -> tuple[CoverSigning | None, int, int, int]:
@@ -235,11 +245,9 @@ def is_critical(
     edges_checked = 0
     if witness is None:
         return verdict(COLORABLE)
-    if graph.n >= 2:
-        for v in range(graph.n):
-            if graph.degree(v) == 0:
-                # Isolated vertex: {v} or G - v is a non-colorable proper subgraph.
-                return verdict(NOT_CRITICAL, vertex=v)
+    isolated = _isolated_vertex(graph)
+    if isolated is not None:
+        return verdict(NOT_CRITICAL, vertex=isolated)
 
     work = [(instance, strategy, e, memo) for e in edges_to_check]
     with closing(_deleted_edge_results(work, workers)) as results:
@@ -447,12 +455,12 @@ def _graph_of(n: int, mask: int, pairs: list[Edge]) -> SimpleGraph:
     return SimpleGraph.from_edges(n, [pairs[k] for k in range(len(pairs)) if (mask >> k) & 1])
 
 
-def graphs_up_to_iso(n: int, max_n: int = _MAX_ISO_N) -> list[SimpleGraph]:
+def graphs_up_to_iso(n: int) -> list[SimpleGraph]:
     """All graphs on n vertices up to isomorphism, in ascending order of
     their canonical adjacency masks (`_canonical_form`), each with exactly
     the edges of its canonical mask; grown by `_iso_levels`."""
     pairs = _vertex_pairs(n)
-    masks = sorted(mask for level in _iso_levels(n, max_n) for mask in level)
+    masks = sorted(mask for level in _iso_levels(n) for mask in level)
     return [_graph_of(n, mask, pairs) for mask in masks]
 
 
@@ -584,7 +592,7 @@ class _WeightedTables:
             )
             for x in range(0, 1 << n, 2)
         ]
-        self.skip = n == 0 or n >= 2 and any(graph.degree(v) == 0 for v in range(n))
+        self.skip = n == 0 or _isolated_vertex(graph) is not None
 
     def _uncolorable(self, signing: int, missing: int, incident: list[int]) -> int:
         """The capacity functions in `missing` under which no map is valid
@@ -736,8 +744,8 @@ def enumerate_critical(
         caps = ((i, j),) * n
         for mask, (instance, lowest) in sorted(uncolorable.items()):
             graph = instance.graph
-            critical = uncolorable.keys().isdisjoint(parents_of[mask]) and not (
-                n >= 2 and any(graph.degree(v) == 0 for v in range(n))
+            critical = (
+                uncolorable.keys().isdisjoint(parents_of[mask]) and _isolated_vertex(graph) is None
             )
             if critical:
                 witness = CoverSigning.from_bits(graph, lowest)
@@ -819,25 +827,17 @@ class SharpnessEntry:
         )
 
 
-@dataclass(frozen=True)
-class SharpnessReport:
-    entries: tuple[SharpnessEntry, ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-
 def verify_sharpness_suite(
     pairs: Iterable[tuple[int, int]],
     ms: Iterable[int],
     criticality: Iterable[tuple[int, int, int]] = (),
-) -> SharpnessReport:
-    """For each (i, j) x m: check size identities and that the hard cover
-    is uncolorable, decided by `colorable_all_covers` through the flags'
-    load tables; optionally certify criticality (reduced strategy) for the
-    listed (i, j, m) triples.  A triple outside `pairs` x `ms` would never
-    be certified, so it raises ValueError before any work is done."""
+) -> tuple[SharpnessEntry, ...]:
+    """A tuple of one `SharpnessEntry` per (i, j) x m, in that order: check
+    size identities and that the hard cover is uncolorable, decided by
+    `colorable_all_covers` through the flags' load tables; optionally
+    certify criticality (reduced strategy) for the listed (i, j, m) triples.
+    A triple outside `pairs` x `ms` would never be certified, so it raises
+    ValueError before any work is done."""
     pairs = tuple((i, j) for i, j in pairs)
     ms = tuple(ms)
     want_critical = set(criticality)
@@ -861,7 +861,7 @@ def verify_sharpness_suite(
             entries.append(
                 SharpnessEntry(i, j, m, counts_ok, uncolorable, crit, potential_ok)
             )
-    return SharpnessReport(tuple(entries))
+    return tuple(entries)
 
 
 def sampled_edge_deletion_sweep(

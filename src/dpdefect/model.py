@@ -138,54 +138,30 @@ class DefectParams:
 
 
 @dataclass(frozen=True)
-class CapacityFunction:
-    """Per-vertex capacity pairs (c1, c2) in {-1..i} x {-1..j}.
-
-    A capacity of -1 forbids the corresponding node from being chosen at all.
-    """
-
-    pairs: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def uniform(cls, n: int, params: DefectParams) -> "CapacityFunction":
-        return cls(((params.i, params.j),) * n)
-
-    def __getitem__(self, v: int) -> tuple[int, int]:
-        return self.pairs[v]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def validate(self, n: int, params: DefectParams) -> None:
-        if len(self.pairs) != n:
-            raise ValueError(
-                f"capacities defined for {len(self.pairs)} vertices, graph has {n}"
-            )
-        for v, (c1, c2) in enumerate(self.pairs):
-            if not (-1 <= c1 <= params.i) or not (-1 <= c2 <= params.j):
-                raise ValueError(
-                    f"capacity {(c1, c2)} of vertex {v} outside "
-                    f"[-1, {params.i}] x [-1, {params.j}]"
-                )
-
-
-@dataclass(frozen=True)
 class WeightedInstance:
-    """A graph together with defect parameters and per-vertex capacities."""
+    """A graph together with defect parameters and per-vertex capacities:
+    `caps[v]` is vertex v's pair (c1, c2) in {-1..i} x {-1..j}, and a
+    capacity of -1 forbids the corresponding node from being chosen at all.
+    """
 
     graph: SimpleGraph
     params: DefectParams
-    caps: CapacityFunction
+    caps: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        self.caps.validate(self.graph.n, self.params)
+        n, i, j = self.graph.n, self.params.i, self.params.j
+        if len(self.caps) != n:
+            raise ValueError(f"capacities defined for {len(self.caps)} vertices, graph has {n}")
+        for v, (c1, c2) in enumerate(self.caps):
+            if not (-1 <= c1 <= i) or not (-1 <= c2 <= j):
+                raise ValueError(f"capacity {(c1, c2)} of vertex {v} outside [-1, {i}] x [-1, {j}]")
 
     @classmethod
     def uniform(cls, graph: SimpleGraph, params: DefectParams) -> "WeightedInstance":
-        return cls(graph, params, CapacityFunction.uniform(graph.n, params))
+        return cls(graph, params, ((params.i, params.j),) * graph.n)
 
     def with_caps(self, pairs: Iterable[tuple[int, int]]) -> "WeightedInstance":
-        return WeightedInstance(self.graph, self.params, CapacityFunction(tuple(pairs)))
+        return WeightedInstance(self.graph, self.params, tuple(pairs))
 
     def without_edge(self, edge: tuple[int, int]) -> "WeightedInstance":
         return WeightedInstance(self.graph.without_edge(edge), self.params, self.caps)
@@ -380,8 +356,7 @@ def parse_instance(text: str) -> tuple[WeightedInstance, CoverSigning | None]:
 
     graph = SimpleGraph(n, frozenset(edges))
     default = (params.i, params.j)
-    cap_fn = CapacityFunction(tuple(caps.get(v, default) for v in range(n)))
-    instance = WeightedInstance(graph, params, cap_fn)
+    instance = WeightedInstance(graph, params, tuple(caps.get(v, default) for v in range(n)))
 
     signing = None
     if saw_signed:

@@ -139,8 +139,8 @@ class _SearchContext:
 
 def _caps(instance: WeightedInstance) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The poor and the rich cap of every vertex."""
-    pairs = instance.caps.pairs
-    return tuple(c for c, _ in pairs), tuple(c for _, c in pairs)
+    caps = instance.caps
+    return tuple(c for c, _ in caps), tuple(c for _, c in caps)
 
 
 @lru_cache(maxsize=64)
@@ -248,18 +248,10 @@ def brute_force_oracle(
     return None
 
 
-def _as_bits(graph: SimpleGraph, signing: CoverSigning | tuple[int, ...]) -> int:
-    """A signing as an int: bit k is the sign of sorted edge k."""
-    if isinstance(signing, CoverSigning):
-        signs = signing.signs_for(graph)
-    else:
-        signs = signing
-        if len(signs) != len(graph.sorted_edges):
-            raise ValueError("sign tuple length does not match edge count")
-        if any(s not in (0, 1) for s in signs):
-            raise ValueError("signs must be PARALLEL (0) or TWISTED (1)")
+def _as_bits(graph: SimpleGraph, signing: CoverSigning) -> int:
+    """A signing of `graph` as an int: bit k is the sign of sorted edge k."""
     bits = 0
-    for s in reversed(signs):
+    for s in reversed(signing.signs_for(graph)):
         bits += bits + s
     return bits
 
@@ -478,7 +470,7 @@ def _uncolorable_by_loads(instance: WeightedInstance, memo: dict) -> tuple[int |
     call.  A block with b edges costs 2^b x the product of its child option
     counts `_block_load` calls, so a 2-connected graph costs 2^|E|.
     """
-    graph, caps = instance.graph, instance.caps.pairs
+    graph, caps = instance.graph, instance.caps
     edges = graph.sorted_edges
     below: list[list[dict]] = [[] for _ in range(graph.n)]  # options of the blocks at v
     roots = set(range(graph.n))
@@ -747,7 +739,7 @@ def _lowest_uncolorable(instance: WeightedInstance) -> tuple[int | None, int]:
 
 def colorable_all_covers(
     instance: WeightedInstance,
-    signings: Iterable[CoverSigning | tuple[int, ...]] | None = None,
+    signings: Iterable[CoverSigning] | None = None,
     max_edges: int = DEFAULT_ENUMERATION_CEILING,
 ) -> CoverScan:
     """Quantify colorability over the whole cover space.
@@ -758,10 +750,11 @@ def colorable_all_covers(
     lexicographically smallest, `signings_examined` its number + 1 (or
     2^|E|), and the whole-graph search must fail on it, else RuntimeError.
     `nodes_expanded` counts the walk's placements plus that search's nodes.
-    A caller may instead supply its own stream, such as one signing per
-    symmetry class or a single signing to cross-check; soundness is then
-    the caller's contract.  `_scan` decides a stream one signing at a time,
-    as a whole-graph search would, and counts the search nodes it spends.
+    A caller may instead supply its own stream of `CoverSigning`s of the
+    instance's graph, such as one per symmetry class or a single one to
+    cross-check; soundness is then the caller's contract.  `_scan` decides
+    a stream one signing at a time, as a whole-graph search would, and
+    counts the search nodes it spends.
     """
     graph = instance.graph
     m = len(graph.sorted_edges)

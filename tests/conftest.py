@@ -15,7 +15,6 @@ from typing import Iterable, Iterator
 
 from dpdefect import (
     PARALLEL,
-    CapacityFunction,
     CoverSigning,
     DefectParams,
     SimpleGraph,
@@ -58,13 +57,8 @@ def random_graph(rng: random.Random, n: int, p: float) -> SimpleGraph:
     return SimpleGraph.from_edges(n, edges)
 
 
-def random_caps(rng: random.Random, n: int, params: DefectParams) -> CapacityFunction:
-    return CapacityFunction(
-        tuple(
-            (rng.randint(-1, params.i), rng.randint(-1, params.j))
-            for _ in range(n)
-        )
-    )
+def random_caps(rng: random.Random, n: int, params: DefectParams) -> tuple[tuple[int, int], ...]:
+    return tuple((rng.randint(-1, params.i), rng.randint(-1, params.j)) for _ in range(n))
 
 
 def random_instance(

@@ -15,7 +15,6 @@ import pytest
 
 from dpdefect import (
     CRITICAL,
-    CapacityFunction,
     CoverSigning,
     DefectParams,
     Reduced,
@@ -169,7 +168,7 @@ def test_criterion_5_submodularity_residual_zero():
             for graph in graphs_up_to_iso(n):
                 params = DefectParams(1, 2)
                 for caps in (
-                    CapacityFunction.uniform(n, params),
+                    ((params.i, params.j),) * n,
                     random_caps(rng, n, params),
                 ):
                     inst = WeightedInstance(graph, params, caps)

@@ -10,7 +10,6 @@ import pytest
 import dpdefect
 
 from dpdefect import (
-    CapacityFunction,
     DefectParams,
     Exhaustive,
     SimpleGraph,
@@ -129,7 +128,7 @@ def test_charges_and_sparsity(tmp_path, capsys):
 def test_critical_exhaustive_certifies(tmp_path, capsys):
     inst = WeightedInstance(
         SimpleGraph(1, frozenset()), DefectParams(1, 2),
-        CapacityFunction(((-1, -1),)),
+        ((-1, -1),),
     )
     path = write_instance(tmp_path, "one.dpg", inst)
     code, stdout, _ = run(capsys, ["critical", path, "--json"])
@@ -336,11 +335,22 @@ def test_value_errors_exit_2_and_internal_errors_propagate(
         main(argv)
 
 
-# Exact --json stdout of fixed commands.  C3 is the triangle at (0, 0) and
-# G121 the (1,2,1) flag-path host, both unsigned.  Under `reduced`,
-# nodes_expanded counts the search nodes of the witness cross-check; under
-# `exhaustive`, the map walk's placements plus those nodes; under `sampled`,
-# those of the searches the scan ran (a repeated key costs none).
+# A host at (1, 2) with capacities below (i, j) at four of its five vertices,
+# one of them forbidding the poor node; critical, with 7 edges checked.
+LOWERED = (
+    "dpgraph 1\nparams i=1 j=2\nvertices 5\n"
+    "cap 0 0 1\ncap 1 1 1\ncap 2 -1 2\ncap 4 1 0\n"
+    "edge 0 1\nedge 0 2\nedge 0 3\nedge 1 2\nedge 1 3\nedge 2 4\nedge 3 4\n"
+)
+LOWERED_DIGEST = "edd83e8bbe16fa09a147ec46793a5fc67a217cc83ee11cc5fc14bb4caf322db1"
+
+
+# Exact --json stdout of fixed commands.  C3 is the triangle at (0, 0),
+# G121 the (1,2,1) flag-path host and LOWERED the host above, all unsigned.
+# Under `reduced`, nodes_expanded counts the search nodes of the witness
+# cross-check; under `exhaustive`, the map walk's placements plus those
+# nodes; under `sampled`, those of the searches the scan ran (a repeated key
+# costs none).
 GOLDEN_JSON = [
     (
         ["verify", "--pairs", "1,2;1,3", "--ms", "1,2"],
@@ -439,6 +449,36 @@ GOLDEN_JSON = [
         '"params":{"i":0,"j":0},"seed":7,"verdict":"witness-found",'
         '"witness":{"edges":[[0,1],[0,2],[1,2]],"signs":"TTP"}}',
     ),
+    (
+        ["critical", "LOWERED", "--strategy", "exhaustive"],
+        '{"certifying":true,"command":"critical","counters":{"classes":449,'
+        '"edges_checked":7,"nodes_expanded":263,"signings":1},"failing_edge":null,'
+        f'"instance_digest":"{LOWERED_DIGEST}",'
+        '"params":{"i":1,"j":2},"strategy":"exhaustive","verdict":"critical",'
+        '"witness":{"edges":[[0,1],[0,2],[0,3],[1,2],[1,3],[2,4],[3,4]],'
+        '"signs":"PPPPPPP"}}',
+    ),
+    (
+        ["potential", "LOWERED", "--min", "nonempty"],
+        f'{{"command":"potential","instance_digest":"{LOWERED_DIGEST}",'
+        '"mode":"nonempty","params":{"i":1,"j":2},"subset":[0,1,2,3,4],"value":-6}',
+    ),
+    (
+        ["charges", "LOWERED"],
+        '{"adjacent_surplus_edges":[],"charges_doubled":[-4,-2,-4,0,-2],'
+        '"classes":["ordinary","ordinary","ordinary","ordinary","ordinary"],'
+        f'"command":"charges","instance_digest":"{LOWERED_DIGEST}",'
+        '"params":{"i":1,"j":2},"residual_doubled":0,"total_doubled":-12,'
+        '"verdict":"conserved"}',
+    ),
+    (
+        ["sample", "LOWERED", "--count", "50", "--seed", "3"],
+        '{"command":"sample","count":50,"examined":48,'
+        f'"instance_digest":"{LOWERED_DIGEST}",'
+        '"params":{"i":1,"j":2},"seed":3,"verdict":"witness-found",'
+        '"witness":{"edges":[[0,1],[0,2],[0,3],[1,2],[1,3],[2,4],[3,4]],'
+        '"signs":"TPTPPPP"}}',
+    ),
 ]
 
 
@@ -446,6 +486,8 @@ GOLDEN_JSON = [
     "argv,stdout", GOLDEN_JSON, ids=[" ".join(argv) for argv, _ in GOLDEN_JSON]
 )
 def test_json_stdout_is_pinned(tmp_path, capsys, argv, stdout):
+    lowered = tmp_path / "lowered.dpg"
+    lowered.write_text(LOWERED)
     files = {
         "C3": write_instance(
             tmp_path, "c3.dpg", WeightedInstance.uniform(cycle_graph(3), DefectParams(0, 0))
@@ -453,6 +495,7 @@ def test_json_stdout_is_pinned(tmp_path, capsys, argv, stdout):
         "G121": write_instance(
             tmp_path, "g121.dpg", flag_path_instance(DefectParams(1, 2), 1)[0]
         ),
+        "LOWERED": str(lowered),
     }
     _, out, _ = run(capsys, [files.get(a, a) for a in argv] + ["--json"])
     assert out == stdout + "\n"

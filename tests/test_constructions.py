@@ -8,7 +8,6 @@ from dpdefect import (
     PARALLEL,
     RICH,
     TWISTED,
-    CapacityFunction,
     ConstructionSpec,
     CoverSigning,
     DefectParams,
@@ -242,7 +241,7 @@ def test_pendant_loads_match_the_brute_force_base_conflicts():
 def test_pendant_loads_of_damaged_and_starved_flags():
     graph, _, flag = one_flag_host(P12)
     inst = WeightedInstance.uniform(graph, P12)
-    rest = inst.caps.pairs[1:]
+    rest = inst.caps[1:]
     # with one side of the base forbidden and the other at cap 0, a signing
     # is uncolorable iff the flag can force one conflict on the other side
     for base_caps, side in (((-1, 0), RICH), ((0, -1), 0)):
@@ -325,7 +324,7 @@ def test_reduced_iterator_sound_on_small_hosts():
         base_cap = (rng.randint(-1, 1), rng.randint(-1, 2))
         top_cap = (rng.randint(-1, 1), rng.randint(-1, 2))
         mid_cap = (rng.randint(-1, 1), rng.randint(-1, 2))
-        caps = CapacityFunction((base_cap, top_cap, mid_cap, mid_cap))
+        caps = (base_cap, top_cap, mid_cap, mid_cap)
         inst = WeightedInstance(graph, params, caps)
         full = colorable_all_covers(inst)
         red = colorable_all_covers(
@@ -361,7 +360,7 @@ def test_reduced_iterator_sound_two_flags_and_path():
             pairs[f.top] = tops
             for u in f.middles:
                 pairs[u] = mids
-        inst = WeightedInstance(graph, params, CapacityFunction(tuple(pairs)))
+        inst = WeightedInstance(graph, params, tuple(pairs))
         full = colorable_all_covers(inst)
         red = colorable_all_covers(inst, signings=reduced_cover_iterator(graph, spec))
         assert full.colorable == red.colorable

@@ -4,7 +4,6 @@ from fractions import Fraction
 from dpdefect import (
     ORDINARY,
     SURPLUS,
-    CapacityFunction,
     DefectParams,
     SimpleGraph,
     WeightedInstance,
@@ -59,7 +58,7 @@ def test_classify_flag_middles_surplus():
 
 def test_classify_capacity_mismatch_is_ordinary():
     graph = path_graph(3)
-    caps = CapacityFunction(((1, 2), (1, 1), (1, 2)))  # middle: degree 2, c=(i, j-1)
+    caps = ((1, 2), (1, 1), (1, 2))  # middle: degree 2, c=(i, j-1)
     inst = WeightedInstance(graph, P12, caps)
     assert classify_vertices(inst)[1] == ORDINARY
 

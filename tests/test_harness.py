@@ -19,7 +19,6 @@ from dpdefect import (
     PARALLEL,
     TWISTED,
     UNREFUTED,
-    CapacityFunction,
     CoverSigning,
     DefectParams,
     Exhaustive,
@@ -75,9 +74,7 @@ P00 = DefectParams(0, 0)
 
 
 def test_single_forbidden_vertex_is_critical():
-    inst = WeightedInstance(
-        SimpleGraph(1, frozenset()), P12, CapacityFunction(((-1, -1),))
-    )
+    inst = WeightedInstance(SimpleGraph(1, frozenset()), P12, ((-1, -1),))
     verdict = is_critical(inst, Exhaustive())
     assert verdict.verdict == CRITICAL
     assert verdict.certifying
@@ -91,9 +88,7 @@ def test_k2_zero_defect_colorable():
 
 
 def test_k2_forbidden_poor_pair_critical():
-    inst = WeightedInstance(
-        k2(), P12, CapacityFunction(((-1, 0), (-1, 0)))
-    )
+    inst = WeightedInstance(k2(), P12, ((-1, 0), (-1, 0)))
     verdict = is_critical(inst, Exhaustive())
     assert verdict.verdict == CRITICAL
     assert verdict.potential_ok is True
@@ -127,9 +122,7 @@ def test_isolated_vertex_blocks_criticality():
 
 
 def test_sampled_never_certifies():
-    inst = WeightedInstance(
-        SimpleGraph(1, frozenset()), P12, CapacityFunction(((-1, -1),))
-    )
+    inst = WeightedInstance(SimpleGraph(1, frozenset()), P12, ((-1, -1),))
     verdict = is_critical(inst, Sampled(count=20, seed=3))
     assert verdict.verdict == UNREFUTED
     assert not verdict.certifying
@@ -382,7 +375,7 @@ def _uniform_survey_by_oracle(params, n):
         inst = WeightedInstance.uniform(graph, params)
         witness, _ = first_uncolorable(inst)
         entry = CriticalEntry(
-            graph.sorted_edges, inst.caps.pairs, subset_potential(inst, range(n))
+            graph.sorted_edges, inst.caps, subset_potential(inst, range(n))
         )
         if (
             in_guaranteed_range(params)
@@ -541,7 +534,7 @@ def test_uncolorable_signings_without_edges():
     assert uncolorable_by_windows(WeightedInstance.uniform(SimpleGraph(0, frozenset()), P12)) == 0
     lone = SimpleGraph(1, frozenset())
     for caps, bad in [((-1, -1), 1), ((-1, 0), 0), ((0, -1), 0), ((1, 2), 0)]:
-        inst = WeightedInstance(lone, P12, CapacityFunction((caps,)))
+        inst = WeightedInstance(lone, P12, (caps,))
         assert uncolorable_by_windows(inst) == bad, caps
 
 
@@ -563,7 +556,7 @@ def test_uncolorable_signings_with_poor_and_rich_caps_apart(caps):
         SimpleGraph.from_edges(n, [(v, v + 1) for v in range(n - 1)]),
         SimpleGraph.from_edges(n, itertools.combinations(range(n), 2)),
     ):
-        inst = WeightedInstance(graph, params, CapacityFunction(caps))
+        inst = WeightedInstance(graph, params, caps)
         assert uncolorable_by_windows(inst) == uncolorable_by_oracle(inst), (graph, caps)
 
 
@@ -576,7 +569,7 @@ def capped_instances(draw):
     i = draw(st.integers(0, 2))
     params = DefectParams(i, draw(st.integers(i, i + 2)))
     cap = st.tuples(st.integers(-1, params.i), st.integers(-1, params.j))
-    caps = CapacityFunction(tuple(draw(st.lists(cap, min_size=n, max_size=n))))
+    caps = tuple(draw(st.lists(cap, min_size=n, max_size=n)))
     return WeightedInstance(SimpleGraph.from_edges(n, edges), params, caps)
 
 
@@ -602,7 +595,7 @@ def signed_edge_deletions(draw):
     i = draw(st.integers(0, 2))
     params = DefectParams(i, draw(st.integers(i, i + 2)))
     cap = st.tuples(st.integers(-1, params.i), st.integers(-1, params.j))
-    caps = CapacityFunction(tuple(draw(st.lists(cap, min_size=n, max_size=n))))
+    caps = tuple(draw(st.lists(cap, min_size=n, max_size=n)))
     inst = WeightedInstance(SimpleGraph.from_edges(n, edges), params, caps)
     edge = draw(st.sampled_from(sorted(edges)))
     minus = inst.without_edge(edge)
@@ -734,7 +727,7 @@ def _criticals(graph, params):
 def _assert_agrees_with_is_critical(graph, params, caps, found):
     """Yielded iff is_critical(Exhaustive) says critical, and then with its
     witness; returns the verdict."""
-    slow = is_critical(WeightedInstance(graph, params, CapacityFunction(caps)), Exhaustive())
+    slow = is_critical(WeightedInstance(graph, params, caps), Exhaustive())
     assert (caps in found) == (slow.verdict == CRITICAL), (graph, params, caps)
     if caps in found:
         assert found[caps] == slow.witness, (graph, params, caps)
@@ -845,7 +838,7 @@ def test_weighted_cover_rule_honours_the_witness(monkeypatch):
     they are searched, and the survey fails."""
     path = SimpleGraph.from_edges(3, [(0, 1), (0, 2)])
     below, above = ((-1, 0), (-1, 1), (-1, 1)), ((-1, 1),) * 3
-    inst = WeightedInstance(path, P12, CapacityFunction(below))
+    inst = WeightedInstance(path, P12, below)
     assert find_coloring(inst, CoverSigning.from_bits(path, 3)) is not None
     criticals = harness._WeightedTables.criticals
 
@@ -912,15 +905,13 @@ def test_every_weighted_critical_is_uncolorable_under_its_witness(params, top):
     for n in range(top + 1):
         for graph in graphs_up_to_iso(n):
             for caps, witness in _decoded_criticals(_WeightedTables(graph, params)):
-                inst = WeightedInstance(graph, params, CapacityFunction(caps))
+                inst = WeightedInstance(graph, params, caps)
                 assert find_coloring(inst, CoverSigning.from_bits(graph, witness)) is None
 
 
 def _assert_rho_is_the_whole_set_potential(rep):
     for c in rep.criticals:
-        inst = WeightedInstance(
-            SimpleGraph.from_edges(rep.n, c.edges), rep.params, CapacityFunction(c.caps)
-        )
+        inst = WeightedInstance(SimpleGraph.from_edges(rep.n, c.edges), rep.params, c.caps)
         assert c.rho == subset_potential(inst, range(rep.n)), c
 
 
@@ -971,7 +962,7 @@ def _naive_is_critical(inst):
                 sub = WeightedInstance(
                     sub_graph,
                     inst.params,
-                    CapacityFunction(tuple(inst.caps[v] for v in keep)),
+                    tuple(inst.caps[v] for v in keep),
                 )
                 if not _naive_colorable_all(sub):
                     return NOT_CRITICAL
@@ -994,10 +985,10 @@ def test_is_critical_matches_definitional_oracle():
 
 
 def test_sharpness_suite_small():
-    report = verify_sharpness_suite([(1, 2), (1, 3)], [1, 2])
-    assert report.all_ok
-    assert len(report.entries) == 4
-    assert all(e.criticality is None for e in report.entries)
+    entries = verify_sharpness_suite([(1, 2), (1, 3)], [1, 2])
+    assert all(e.ok for e in entries)
+    assert [(e.i, e.j, e.m) for e in entries] == [(1, 2, 1), (1, 2, 2), (1, 3, 1), (1, 3, 2)]
+    assert all(e.criticality is None for e in entries)
 
 
 def test_reduced_deletion_phase_with_path_edge():
@@ -1014,7 +1005,7 @@ def test_reduced_deletion_phase_with_path_edge():
     caps = [(1, 2)] * graph.n
     caps[0] = (0, 0)
     caps[1] = (0, 0)  # one twisted + one parallel flag then kills both nodes
-    inst = WeightedInstance(graph, P12, CapacityFunction(tuple(caps)))
+    inst = WeightedInstance(graph, P12, tuple(caps))
     reduced = is_critical(inst, Reduced(spec))
     exhaustive = is_critical(inst, Exhaustive())
     assert reduced.witness is not None and exhaustive.witness is not None
@@ -1131,7 +1122,7 @@ def small_flag_hosts(draw):
             caps[f.top] = top
             for u in f.middles:
                 caps[u] = middle
-    return WeightedInstance(graph, params, CapacityFunction(tuple(caps))), spec
+    return WeightedInstance(graph, params, tuple(caps)), spec
 
 
 @settings(max_examples=200, deadline=None)
@@ -1210,7 +1201,7 @@ def test_reduced_rejects_a_colorable_witness(monkeypatch):
 
 def test_reduced_rejects_flags_with_unequal_capacities():
     inst, spec = flag_path_instance(P12, 1)
-    caps = list(inst.caps.pairs)
+    caps = list(inst.caps)
     caps[spec.all_flags[0].top] = (0, 2)
     with pytest.raises(ValueError, match="top or middle capacities"):
         is_critical(inst.with_caps(caps), Reduced(spec))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from dpdefect import (
     PARALLEL,
     TWISTED,
-    CapacityFunction,
     CoverSigning,
     DefectParams,
     InstanceFormatError,
@@ -34,7 +33,7 @@ def test_parse_k2_signed():
     text = "dpgraph 1\nparams i=1 j=2\nvertices 2\nedge 0 1 P\n"
     inst, signing = parse_instance(text)
     assert inst.graph == SimpleGraph.from_edges(2, [(0, 1)])
-    assert inst.caps.pairs == ((1, 2), (1, 2))
+    assert inst.caps == ((1, 2), (1, 2))
     assert signing is not None
     assert signing.as_dict() == {(0, 1): PARALLEL}
 
@@ -235,7 +234,7 @@ def instances_with_signings(draw):
     i = draw(st.integers(0, 3))
     params = DefectParams(i, draw(st.integers(i, i + 4)))
     cap = st.tuples(st.integers(-1, params.i), st.integers(-1, params.j))
-    caps = CapacityFunction(tuple(draw(st.lists(cap, min_size=n, max_size=n))))
+    caps = tuple(draw(st.lists(cap, min_size=n, max_size=n)))
     inst = WeightedInstance(SimpleGraph.from_edges(n, edges), params, caps)
     signing = None
     if edges and draw(st.booleans()):  # an edgeless file carries no signs
@@ -271,12 +270,12 @@ def test_params_and_caps_validation():
     with pytest.raises(ValueError):
         DefectParams(-1, 0)
     graph = k2()
-    with pytest.raises(ValueError):
-        WeightedInstance(graph, DefectParams(1, 2), CapacityFunction(((0, 0),)))
-    with pytest.raises(ValueError):
-        WeightedInstance(
-            graph, DefectParams(1, 2), CapacityFunction(((2, 0), (0, 0)))
-        )
+    with pytest.raises(ValueError, match=r"^capacities defined for 1 vertices, graph has 2$"):
+        WeightedInstance(graph, DefectParams(1, 2), ((0, 0),))
+    with pytest.raises(
+        ValueError, match=r"^capacity \(2, 0\) of vertex 0 outside \[-1, 1\] x \[-1, 2\]$"
+    ):
+        WeightedInstance(graph, DefectParams(1, 2), ((2, 0), (0, 0)))
 
 
 def test_signing_must_cover_edges():

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from dpdefect import (
-    CapacityFunction,
     DefectParams,
     SimpleGraph,
     WeightedInstance,
@@ -57,9 +56,7 @@ def test_subset_potential_matches_direct_formula():
 
 
 def test_min_potential_single_forbidden_vertex():
-    inst = WeightedInstance(
-        SimpleGraph(1, frozenset()), P12, CapacityFunction(((-1, -1),))
-    )
+    inst = WeightedInstance(SimpleGraph(1, frozenset()), P12, ((-1, -1),))
     rep = min_potential_subset(inst)
     assert rep.subset == (0,) and rep.value == -2
 
@@ -125,7 +122,7 @@ def test_submodularity_exhaustive_small():
     for graph in graphs_up_to_iso(4):
         params = DefectParams(1, 2)
         for caps in (
-            CapacityFunction.uniform(graph.n, params),
+            ((params.i, params.j),) * graph.n,
             random_caps(rng, graph.n, params),
         ):
             inst = WeightedInstance(graph, params, caps)

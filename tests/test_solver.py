@@ -9,7 +9,6 @@ from dpdefect import (
     POOR,
     RICH,
     TWISTED,
-    CapacityFunction,
     CoverSigning,
     DefectParams,
     SimpleGraph,
@@ -51,9 +50,7 @@ P00 = DefectParams(0, 0)
 
 
 def single_vertex(c1, c2, params=DefectParams(1, 2)):
-    return WeightedInstance(
-        SimpleGraph(1, frozenset()), params, CapacityFunction(((c1, c2),))
-    )
+    return WeightedInstance(SimpleGraph(1, frozenset()), params, ((c1, c2),))
 
 
 def empty_signing():
@@ -203,7 +200,7 @@ def test_capacity_monotonicity():
         params = inst.params
         raised = tuple(
             (min(c1 + rng.randint(0, 1), params.i), min(c2 + rng.randint(0, 1), params.j))
-            for c1, c2 in inst.caps.pairs
+            for c1, c2 in inst.caps
         )
         assert find_coloring(inst.with_caps(raised), signing) is not None
 
@@ -230,7 +227,7 @@ def test_lowering_one_cap_keeps_a_signing_uncolorable(pair):
     signing with no map keeps none when any one cap drops by one."""
     inst, signing = pair
     assume(find_coloring(inst, signing) is None)
-    caps = inst.caps.pairs
+    caps = inst.caps
     for v, (c1, c2) in enumerate(caps):
         for lowered in ((c1 - 1, c2), (c1, c2 - 1)):
             if min(lowered) >= -1:
@@ -297,9 +294,7 @@ def test_all_covers_ceiling_and_iterator_bypass():
 
 
 def host(n, edges, caps, params=DefectParams(1, 2)):
-    return WeightedInstance(
-        SimpleGraph.from_edges(n, edges), params, CapacityFunction(tuple(caps))
-    )
+    return WeightedInstance(SimpleGraph.from_edges(n, edges), params, tuple(caps))
 
 
 def c4_beside_a_path(path_edges):
@@ -456,7 +451,7 @@ def instances_with_cut_vertices(draw, max_block=4):
     for v in draw(st.sets(st.integers(0, n - 1))):
         caps[v] = (params.i, params.j)
     graph = SimpleGraph.from_edges(n, edges)
-    return WeightedInstance(graph, params, CapacityFunction(tuple(caps)))
+    return WeightedInstance(graph, params, tuple(caps))
 
 
 @settings(max_examples=150, deadline=None)
@@ -503,9 +498,7 @@ def test_each_component_is_searched_on_its_own():
     # walk the path's colorings before giving up
     edges = [(k, k + 1) for k in range(11)] + [(12, 13), (12, 14), (13, 14)]
     graph = SimpleGraph.from_edges(15, edges)
-    inst = WeightedInstance(
-        graph, DefectParams(1, 2), CapacityFunction(((1, 2),) * 12 + ((0, 0),) * 3)
-    )
+    inst = WeightedInstance(graph, DefectParams(1, 2), ((1, 2),) * 12 + ((0, 0),) * 3)
     signing = CoverSigning.from_bits(graph, 0)
     assert brute_force_oracle(inst, signing) is None
     assert find_coloring(inst, signing) is None
@@ -589,7 +582,7 @@ def test_core_memo_matches_a_plain_search_loop_at_two_cut_vertices():
     for _ in range(12):
         caps = [(rng.randint(-1, 1), rng.randint(-1, 2)) for _ in range(graph.n)]
         caps[2] = caps[3] = (1, 2)  # cut vertices at the top of their range
-        inst = WeightedInstance(graph, params, CapacityFunction(tuple(caps)))
+        inst = WeightedInstance(graph, params, tuple(caps))
         cap0, cap1 = zip(*caps)
         colorable, uncolorable = [], []
         for bits in range(1 << graph.edge_count()):
@@ -675,7 +668,7 @@ def trees_plus_edges(draw):
     params = DefectParams(i, draw(st.integers(i, i + 2)))
     cap = st.tuples(st.integers(-1, params.i), st.integers(-1, params.j))
     caps = draw(st.lists(cap, min_size=n, max_size=n))
-    return WeightedInstance(SimpleGraph.from_edges(n, edges), params, CapacityFunction(tuple(caps)))
+    return WeightedInstance(SimpleGraph.from_edges(n, edges), params, tuple(caps))
 
 
 @settings(max_examples=200, deadline=None)
