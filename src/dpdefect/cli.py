@@ -160,8 +160,7 @@ def _cmd_potential(args) -> tuple[int, dict, list[str]]:
 def _cmd_charges(args) -> tuple[int, dict, list[str]]:
     instance, signing = _load_instance(args.file)
     ledger = compute_charges(instance)
-    rho2 = 2 * subset_potential(instance, range(instance.graph.n))
-    residual = ledger.total_doubled - rho2
+    residual = ledger.residual_doubled
     payload = {
         **_instance_json(instance, signing),
         "charges_doubled": list(ledger.charges_doubled),
@@ -176,6 +175,7 @@ def _cmd_charges(args) -> tuple[int, dict, list[str]]:
         f"d2={ledger.d2[v]} 2ch={ledger.charges_doubled[v]}"
         for v in range(instance.graph.n)
     ]
+    rho2 = ledger.total_doubled - residual
     lines.append(f"total 2*ch = {ledger.total_doubled}, 2*rho = {rho2}, residual = {residual}")
     if ledger.adjacent_surplus_edges:
         lines.append(f"adjacent surplus pairs: {list(ledger.adjacent_surplus_edges)}")

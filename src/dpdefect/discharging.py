@@ -33,6 +33,7 @@ class ChargeLedger:
     d1: tuple[int, ...]
     d2: tuple[int, ...]
     total_doubled: int
+    residual_doubled: int  # total_doubled - 2*rho(G, c): 0 when conserved
     adjacent_surplus_edges: tuple[Edge, ...]
 
 
@@ -80,12 +81,14 @@ def charges(instance: WeightedInstance) -> ChargeLedger:
         for e in graph.sorted_edges
         if classes[e[0]] == SURPLUS and classes[e[1]] == SURPLUS
     )
+    total = sum(doubled)
     return ChargeLedger(
         charges_doubled=tuple(doubled),
         classes=classes,
         d1=tuple(d1),
         d2=tuple(d2),
-        total_doubled=sum(doubled),
+        total_doubled=total,
+        residual_doubled=total - 2 * subset_potential(instance, range(graph.n)),
         adjacent_surplus_edges=adjacent,
     )
 
@@ -96,6 +99,4 @@ def verify_total_charge(instance: WeightedInstance) -> int:
     Exactly 0 whenever no two surplus vertices are adjacent; otherwise the
     nonzero residual is returned and the ledger flags the offending edges.
     """
-    ledger = charges(instance)
-    rho2 = 2 * subset_potential(instance, range(instance.graph.n))
-    return ledger.total_doubled - rho2
+    return charges(instance).residual_doubled

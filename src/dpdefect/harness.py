@@ -43,11 +43,12 @@ from .model import (
     SimpleGraph,
     WeightedInstance,
 )
-from .potential import sparsity_test, subset_potential
+from .potential import _bit_positions, sparsity_test, subset_potential
 from .solver import (
     DEFAULT_ENUMERATION_CEILING,
     _context,
     _lowest_uncolorable,
+    _repeat,
     _sign_tuple,
     _solve,
     _uncolorable_by_loads,
@@ -495,29 +496,6 @@ class EnumerationReport:
         if self.min_edges is None or self.mode != MODE_UNIFORM:
             return None
         return self.min_edges >= self.bound_min_edges
-
-
-def _repeat(pattern: int, span: int, count: int) -> int:
-    """`count` copies of `pattern`, `span` bits apart, by shift-OR doubling."""
-    out = shift = 0
-    while True:
-        if count & 1:
-            out |= pattern << shift
-            shift += span
-        count >>= 1
-        if not count:
-            return out
-        pattern |= pattern << span
-        span <<= 1
-
-
-def _bit_positions(bits: int) -> Iterator[int]:
-    """The positions of the set bits of `bits`, ascending."""
-    text = format(bits, "b")[::-1]
-    r = text.find("1")
-    while r >= 0:
-        yield r
-        r = text.find("1", r + 1)
 
 
 class _WeightedTables:

@@ -1,4 +1,4 @@
-"""Potential calculus: vertex/subset potentials, submodularity, sparsity.
+"""Potential calculus: vertex/subset potentials, minimum-potential subsets, sparsity.
 
 The potential of a vertex with capacities (c1, c2) is i - j + 1 + c1 + c2;
 a vertex set additionally pays (i+1) per induced edge.  Everything here is
@@ -13,7 +13,7 @@ i - j.  `min_potential_subset` is the one scan over subsets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .model import DefectParams, SimpleGraph, WeightedInstance
 
@@ -50,15 +50,18 @@ def _mask_of(subset: Iterable[int], n: int) -> int:
     return mask
 
 
+def _bit_positions(bits: int) -> Iterator[int]:
+    """The positions of the set bits of `bits`, ascending."""
+    text = format(bits, "b")[::-1]
+    r = text.find("1")
+    while r >= 0:
+        yield r
+        r = text.find("1", r + 1)
+
+
 def _edges_inside(graph: SimpleGraph, mask: int) -> int:
     masks = graph.adjacency_masks
-    total = 0
-    m = mask
-    while m:
-        v = (m & -m).bit_length() - 1
-        total += (masks[v] & mask).bit_count()
-        m &= m - 1
-    return total // 2
+    return sum((masks[v] & mask).bit_count() for v in _bit_positions(mask)) // 2
 
 
 def subset_potential(instance: WeightedInstance, subset: Iterable[int]) -> int:
@@ -70,22 +73,8 @@ def subset_potential(instance: WeightedInstance, subset: Iterable[int]) -> int:
 
 def _potential_of_mask(instance: WeightedInstance, mask: int) -> int:
     params = instance.params
-    total = 0
-    m = mask
-    while m:
-        v = (m & -m).bit_length() - 1
-        total += vertex_potential(instance.caps[v], params)
-        m &= m - 1
+    total = sum(vertex_potential(instance.caps[v], params) for v in _bit_positions(mask))
     return total - (params.i + 1) * _edges_inside(instance.graph, mask)
-
-
-def _verts_of_mask(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        v = (mask & -mask).bit_length() - 1
-        out.append(v)
-        mask &= mask - 1
-    return tuple(out)
 
 
 def min_potential_subset(
@@ -134,14 +123,15 @@ def min_potential_subset(
             or cur_val < best_val
             or (
                 cur_val == best_val
-                and (size, _verts_of_mask(cur_mask)) < (best_size, _verts_of_mask(best_mask))
+                and (size, tuple(_bit_positions(cur_mask)))
+                < (best_size, tuple(_bit_positions(best_mask)))
             )
         ):
             best_val = cur_val
             best_mask = cur_mask
             best_size = size
     assert best_val is not None
-    return PotentialReport(_verts_of_mask(best_mask), best_val, mode)
+    return PotentialReport(tuple(_bit_positions(best_mask)), best_val, mode)
 
 
 def sparsity_test(graph: SimpleGraph, params: DefectParams) -> SparsityResult:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -228,19 +229,15 @@ def find_coloring(
     return cmap
 
 
-def brute_force_oracle(
-    instance: WeightedInstance,
-    signing: CoverSigning,
-    max_n: int = DEFAULT_ORACLE_CEILING,
-) -> ColoringMap | None:
+def brute_force_oracle(instance: WeightedInstance, signing: CoverSigning) -> ColoringMap | None:
     """Decide colorability by exhausting all 2^n maps through check_coloring.
 
     Independent of the backtracking search; intended as its ground truth on
-    small instances.
+    small instances, up to DEFAULT_ORACLE_CEILING vertices.
     """
     n = instance.graph.n
-    if n > max_n:
-        raise ValueError(f"oracle ceiling exceeded: n={n} > {max_n}")
+    if n > DEFAULT_ORACLE_CEILING:
+        raise ValueError(f"oracle ceiling exceeded: n={n} > {DEFAULT_ORACLE_CEILING}")
     for bits in range(1 << n):
         cmap = tuple((bits >> v) & 1 for v in range(n))
         if check_coloring(instance, signing, cmap) is None:
@@ -268,19 +265,36 @@ def _sign_tuple(bits: int, m: int) -> tuple[int, ...]:
     return signs
 
 
-def _biconnected_components(graph: SimpleGraph) -> list[tuple[int, list[int]]]:
+def _repeat(pattern: int, span: int, count: int) -> int:
+    """`count` copies of `pattern`, `span` bits apart, by shift-OR doubling."""
+    out = shift = 0
+    while True:
+        if count & 1:
+            out |= pattern << shift
+            shift += span
+        count >>= 1
+        if not count:
+            return out
+        pattern |= pattern << span
+        span <<= 1
+
+
+@lru_cache(maxsize=64)
+def _biconnected_components(
+    graph: SimpleGraph,
+) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
     """Each block (biconnected component) as (the vertex it hangs from,
-    its edge indices), found by one depth-first search (Hopcroft and
-    Tarjan, "Efficient algorithms for graph manipulation", 1973) that roots
-    the block-cut tree at the smallest vertex of each component; a block
-    comes after every block that hangs from its other vertices.  Isolated
-    vertices are in no block."""
-    adjacency = graph.adjacency
-    edge_index = graph.edge_index
+    its edge indices, its vertices), both ascending, found by one
+    depth-first search (Hopcroft and Tarjan, "Efficient algorithms for
+    graph manipulation", 1973) that roots the block-cut tree at the
+    smallest vertex of each component; a block comes after every block
+    that hangs from its other vertices.  Isolated vertices are in no
+    block.  Cached per graph, for `_Plan` and `_uncolorable_by_loads`."""
+    adjacency, edge_index, sorted_edges = graph.adjacency, graph.edge_index, graph.sorted_edges
     disc = [-1] * graph.n
     low = [0] * graph.n
     parent = [-1] * graph.n
-    blocks: list[list[int]] = []
+    blocks = []
     clock = 0
     for root in range(graph.n):
         if disc[root] >= 0:
@@ -311,9 +325,11 @@ def _biconnected_components(graph: SimpleGraph) -> list[tuple[int, list[int]]]:
                 if low[v] >= disc[p]:
                     # p separates v's subtree: its edges from the tree edge on form a block
                     k = edges.index(edge_index[(p, v) if p < v else (v, p)])
-                    blocks.append((p, edges[k:]))
+                    block = sorted(edges[k:])
+                    vertices = sorted({w for e in block for w in sorted_edges[e]})
+                    blocks.append((p, tuple(block), tuple(vertices)))
                     del edges[k:]
-    return blocks
+    return tuple(blocks)
 
 
 class _Plan:
@@ -324,54 +340,46 @@ class _Plan:
     fewest conflicts it must put on c while its other vertices stay within
     their caps.  The core, the graph minus the leaf blocks' interiors, is
     colorable with c's caps lowered by its blocks' loads iff the graph is,
-    so the core's verdict depends only on the loads and the core's signs.
-    A leaf block with b edges is split off only when it has fewer edges
-    than the rest of the graph.  In a stream of N draws spread over all
-    signings each of its 2^b keys comes up about N / 2^b times, and filling
-    one takes two or more searches of the block, so the table pays once N
-    passes 2^(b+1); the rule keeps 2^b below 2^(m/2).  By the same count
-    the core is memoised only when it has fewer edges than the split-off
-    blocks together (`memoise`).  A one-signing stream (a witness to
-    cross-check, a hard cover) repeats no key and pays two or more searches
-    of each small block instead of one search of the graph.  `blocks`
-    holds (c, mask of the block's edges, its search context) per split-off
-    block, `cuts` (c, number of its split-off blocks) per cut vertex, and
-    `core_mask` masks the core's edges.
+    so the core's verdict depends only on the loads and the core's signs,
+    and every scan memoises it under that key.  A leaf block with b edges
+    is split off only when it has fewer edges than the rest of the graph.
+    In a stream of N draws spread over all signings each of its 2^b keys
+    comes up about N / 2^b times, and filling one takes two or more
+    searches of the block, so the table pays once N passes 2^(b+1); the
+    rule keeps 2^b below 2^(m/2).  A one-signing stream (a witness to
+    cross-check, a hard cover) repeats no key and pays two or more
+    searches of each small block instead of one search of the graph.
+    `blocks` holds (c, mask of the block's edges, its search context) per
+    split-off block, `cuts` (c, number of its split-off blocks) per cut
+    vertex, and `core_mask` masks the core's edges.
     """
 
-    __slots__ = ("core", "blocks", "cuts", "core_mask", "memoise")
+    __slots__ = ("core", "blocks", "cuts", "core_mask")
 
     def __init__(self, graph: SimpleGraph):
-        edges = graph.sorted_edges
-        blocks = [
-            (block, {v for k in block for v in edges[k]})
-            for _, block in _biconnected_components(graph)
-        ]
-        blocks_at = [0] * graph.n
-        for _, vertices in blocks:
-            for v in vertices:
-                blocks_at[v] += 1
+        m = len(graph.sorted_edges)
+        blocks = _biconnected_components(graph)
+        blocks_at = Counter(v for _, _, vertices in blocks for v in vertices)
         leaves = []
         per_cut: dict[int, int] = {}
         interior: set[int] = set()
         leaf_edges: set[int] = set()
-        for block, vertices in blocks:
+        for _, block, vertices in blocks:
             cuts = [v for v in vertices if blocks_at[v] > 1]
-            if len(cuts) == 1 and 2 * len(block) < len(edges):
-                leaves.append(
-                    (cuts[0], sum(1 << k for k in block), _SearchContext(graph, vertices, block))
-                )
-                per_cut[cuts[0]] = per_cut.get(cuts[0], 0) + 1
-                interior |= vertices - {cuts[0]}
+            if len(cuts) == 1 and 2 * len(block) < m:
+                cut = cuts[0]
+                context = _SearchContext(graph, vertices, block)
+                leaves.append((cut, sum(1 << k for k in block), context))
+                per_cut[cut] = per_cut.get(cut, 0) + 1
+                interior.update(v for v in vertices if v != cut)
                 leaf_edges.update(block)
-        core_edges = [k for k in range(len(edges)) if k not in leaf_edges]
+        core_edges = [k for k in range(m) if k not in leaf_edges]
         self.blocks = tuple(leaves)
         self.cuts = tuple(per_cut.items())
         self.core = _SearchContext(
             graph, (v for v in range(graph.n) if v not in interior), core_edges
         )
         self.core_mask = sum(1 << k for k in core_edges)
-        self.memoise = len(core_edges) < len(leaf_edges)
 
 
 @lru_cache(maxsize=64)
@@ -475,9 +483,8 @@ def _uncolorable_by_loads(instance: WeightedInstance, memo: dict) -> tuple[int |
     below: list[list[dict]] = [[] for _ in range(graph.n)]  # options of the blocks at v
     roots = set(range(graph.n))
     decided = 0
-    for top, block in _biconnected_components(graph):
-        block.sort()  # so that the relabelling keeps the edge order
-        vertices = sorted({v for k in block for v in edges[k]})
+    # ascending edges and vertices, so that the relabelling keeps the edge order
+    for top, block, vertices in _biconnected_components(graph):
         local = {v: t for t, v in enumerate(vertices)}
         others = [v for v in vertices if v != top]
         roots.difference_update(others)
@@ -516,20 +523,21 @@ def _scan(instance: WeightedInstance, signings: Iterable[int]) -> CoverScan:
     `width` bits, the bit length of (blocks at that cut vertex) * (j + 1).
     A load is at most cap + 1 <= j + 1, so the fields cannot overflow, and
     the sum of a signing's entries is its load vector on the core.  The
-    core's verdict is then looked up under the key (packed loads,
-    signing's bits on the core's edges), exact by `_Plan`'s lemma; only a
-    miss builds the sign tuple (as a block miss does) and the lowered caps
-    and searches the core.  Tables and memo live for this scan only.  The
-    memo holds one bool per distinct key: at most the number of signings
-    examined, and at most 2^(core edges) times the number of load vectors,
-    the product over the cut vertices of (k (j + 1) + 1)^2 for a cut
-    vertex with k blocks.  Without `plan.memoise` the core is searched
-    once per signing, and a graph with no leaf block to split off is its
-    own core, searched as `find_coloring` searches it.  `nodes_expanded`
-    counts the searches actually run: the core searches plus the searches
-    that fill the tables.  The worst case is a split-off block so large
-    that its keys never repeat: each of its signings then costs two or
-    more searches of the block instead of one search of the graph.
+    core's verdict is then looked up in the memo under the key (packed
+    loads, signing's bits on the core's edges), exact by `_Plan`'s lemma;
+    only a miss builds the sign tuple (as a block miss does) and the
+    lowered caps and searches the core.  Every scan memoises the core, so
+    a repeated key costs no search.  Tables and memo live for this scan
+    only.  The memo holds one bool per distinct key: at most the number
+    of signings examined, and at most 2^(core edges) times the number of
+    load vectors, the product over the cut vertices of (k (j + 1) + 1)^2
+    for a cut vertex with k blocks.  A graph with no leaf block to split
+    off is its own core, searched as `find_coloring` searches it.
+    `nodes_expanded` counts the searches actually run: the core searches
+    plus the searches that fill the tables.  The worst case is a split-off
+    block so large that its keys never repeat: each of its signings then
+    costs two or more searches of the block instead of one search of the
+    graph.
     """
     graph = instance.graph
     m = len(graph.sorted_edges)
@@ -544,7 +552,7 @@ def _scan(instance: WeightedInstance, signings: Iterable[int]) -> CoverScan:
         fields[cut] = (shift, width)
         shift += 2 * width
     blocks = [(mask, {}, (cut, ctx) + fields[cut]) for cut, mask, ctx in plan.blocks]
-    memo: dict[int, bool] | None = {} if plan.memoise else None
+    memo: dict[int, bool] = {}
     examined = 0
     nodes_total = 0
     for bits in signings:
@@ -562,7 +570,7 @@ def _scan(instance: WeightedInstance, signings: Iterable[int]) -> CoverScan:
                 load = table[bits & mask] = (poor << shift) | (rich << (shift + width))
             packed += load
         key = (packed << m) | (bits & core_mask)
-        colorable = memo.get(key) if memo is not None else None
+        colorable = memo.get(key)
         if colorable is None:
             if signs is None:
                 signs = _sign_tuple(bits, m)
@@ -575,9 +583,7 @@ def _scan(instance: WeightedInstance, signings: Iterable[int]) -> CoverScan:
                     caps[1][cut] -= (packed >> (shift + width)) & low
             cmap, nodes = _solve(core, signs, caps)
             nodes_total += nodes
-            colorable = cmap is not None
-            if memo is not None:
-                memo[key] = colorable
+            colorable = memo[key] = cmap is not None
         if not colorable:
             return CoverScan(CoverSigning.from_bits(graph, bits), examined, nodes_total)
     return CoverScan(None, examined, nodes_total)
@@ -590,13 +596,10 @@ WINDOW_BITS = 12  # a window holds 2^12 signings, so each of its sets is 512 B
 def _low_signs(width: int) -> tuple[int, ...]:
     """Per edge k < width, the set of the numbers below 2**width whose bit
     k is set: the signings of a window under which edge k is twisted."""
-    signs = []
-    for k in range(width):
-        run, span = ((1 << (1 << k)) - 1) << (1 << k), 2 << k  # 2^k clear, 2^k set
-        while span < 1 << width:
-            run, span = run | run << span, span << 1
-        signs.append(run)
-    return tuple(signs)
+    return tuple(  # 2^k clear, 2^k set, repeated through the window
+        _repeat(((1 << (1 << k)) - 1) << (1 << k), 2 << k, 1 << (width - 1 - k))
+        for k in range(width)
+    )
 
 
 class _Walk:
@@ -784,8 +787,8 @@ def sample_covers(instance: WeightedInstance, count: int, seed: int | str) -> Co
     `count` signings that `_sample_bits` draws, each one getrandbits(|E|)
     of random.Random(seed).
 
-    Where `_scan` memoises the core, a repeated signing, or one that
-    repeats another's leaf-block loads and core signs, costs no search, and
+    A repeated signing, or one that repeats another's leaf-block loads
+    and core signs, costs no search (`_scan` memoises the core), and
     `nodes_expanded` counts only the searches run.  Identical
     (instance, count, seed) always produces the identical result: the
     tables and the memo live for one scan only, so even `nodes_expanded`

@@ -103,6 +103,8 @@ def test_adjacent_surplus_flagged_with_residual():
         ledger = charges(inst)
         assert ledger.adjacent_surplus_edges == ((1, 2),)
         assert verify_total_charge(inst) == -2 * i
+        rho = subset_potential(inst, range(4))
+        assert ledger.residual_doubled == ledger.total_doubled - 2 * rho == -2 * i
 
 
 def test_flag_path_conserves():

@@ -14,6 +14,7 @@ from dpdefect import (
     vertex_potential,
 )
 from dpdefect.harness import graphs_up_to_iso
+from dpdefect.potential import _bit_positions
 from conftest import check_submodularity, k2, random_caps, random_graph
 
 P12 = DefectParams(1, 2)
@@ -30,6 +31,10 @@ def test_vertex_potential_values():
 def test_subset_potential_empty_is_zero():
     inst = WeightedInstance.uniform(k2(), P12)
     assert subset_potential(inst, []) == 0
+    # the set-bit iterator that the subset potential walks, on 0 and on a long int
+    assert list(_bit_positions(0)) == []
+    positions = [0, 1, 63, 64, 4095, 12345, 19999]
+    assert list(_bit_positions(sum(1 << r for r in positions))) == positions
 
 
 def test_subset_potential_k2():

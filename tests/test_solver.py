@@ -1,7 +1,8 @@
+import itertools
 import random
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dpdefect import (
@@ -27,6 +28,7 @@ from dpdefect.solver import (
     WINDOW_BITS,
     _Walk,
     _as_bits,
+    _biconnected_components,
     _block_load,
     _lowest_uncolorable,
     _plan,
@@ -474,22 +476,21 @@ def test_plan_tabulates_leaf_blocks_with_under_half_the_edges():
     plan = _plan(inst.graph)
     assert [cut for cut, _, _ in plan.blocks] == [0] * 5  # one per flag
     assert plan.core.order == (0,)
-    assert (plan.core_mask, plan.memoise) == (0, True)
-    # a 5-edge block and a pendant edge at vertex 3: the block stays in the
-    # core, which has more edges than the pendant, so its verdicts are not memoised
+    assert plan.core_mask == 0
+    # a 5-edge block and a pendant edge at vertex 3: the block stays in the core
     graph = SimpleGraph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (0, 3), (3, 4)])
     plan = _plan(graph)
     assert [(cut, mask) for cut, mask, _ in plan.blocks] == [(3, 1 << 5)]
     assert sorted(plan.core.order) == [0, 1, 2, 3]
-    assert (plan.core_mask, plan.memoise) == ((1 << 5) - 1, False)
+    assert plan.core_mask == (1 << 5) - 1
     # two triangles joined by a bridge: the bridge has two cut vertices
     chain = SimpleGraph.from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
     plan = _plan(chain)
     assert sorted(cut for cut, _, _ in plan.blocks) == [2, 3]
     assert sorted(plan.core.order) == [2, 3]
-    assert (plan.core_mask, plan.memoise) == (1 << chain.edge_index[(2, 3)], True)
+    assert plan.core_mask == 1 << chain.edge_index[(2, 3)]
     plan = _plan(cycle_graph(3))
-    assert (plan.blocks, plan.core_mask, plan.memoise) == ((), 7, False)
+    assert (plan.blocks, plan.core_mask) == ((), 7)
 
 
 def test_each_component_is_searched_on_its_own():
@@ -543,12 +544,9 @@ def scan_stream(inst, stream):
     )
 
 
-# About 30 % of these graphs have a core with fewer edges than their leaf
-# blocks, so that `_scan` memoises the core; the filter keeps only those.
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@settings(max_examples=150, deadline=None)
 @given(instances_with_cut_vertices(max_block=3), st.data())
 def test_scan_of_a_repeating_stream_matches_a_plain_search_loop(inst, data):
-    assume(_plan(inst.graph).memoise)
     # a signing and some of its one-edge flips: they share the keys of all
     # but one leaf block or of the core, so a memo key missing a part shows.
     # Colorable ones lead, so their memo entries are in place when the
@@ -575,7 +573,7 @@ TWO_CUTS = SimpleGraph.from_edges(
 def test_core_memo_matches_a_plain_search_loop_at_two_cut_vertices():
     graph = TWO_CUTS
     plan = _plan(graph)
-    assert sorted(plan.cuts) == [(2, 2), (3, 2)] and plan.memoise
+    assert sorted(plan.cuts) == [(2, 2), (3, 2)]
     rng = random.Random(2024)
     params = DefectParams(1, 2)
     full_loads = 0
@@ -602,11 +600,13 @@ def test_core_memo_matches_a_plain_search_loop_at_two_cut_vertices():
 
 
 def test_a_repeated_signing_costs_the_nodes_of_one_search():
+    # on every graph: with leaf blocks split off, and as its own core
     host, spec = flag_path_instance(DefectParams(1, 2), 1)
     chain = WeightedInstance.uniform(TWO_CUTS, DefectParams(1, 2))
+    k4 = WeightedInstance.uniform(complete_graph(4), DefectParams(1, 2))
     hard = _as_bits(host.graph, hard_cover_signing(spec))
-    for inst, bits in ((host, 0), (host, 1234567), (host, hard), (chain, 0), (chain, 300)):
-        assert _plan(inst.graph).memoise
+    cases = ((host, 0), (host, 1234567), (host, hard), (chain, 0), (chain, 300), (k4, 0), (k4, 5))
+    for inst, bits in cases:
         once = scan_stream(inst, [bits])
         again = scan_stream(inst, [bits] * 5)
         assert again.nodes_expanded == once.nodes_expanded > 0
@@ -615,7 +615,7 @@ def test_a_repeated_signing_costs_the_nodes_of_one_search():
 
 
 def test_graphs_without_a_split_off_block_search_every_signing():
-    # one whole-graph search per signing, as `find_coloring` runs it
+    # one whole-graph search per distinct signing, as `find_coloring` runs it
     triangle = WeightedInstance.uniform(cycle_graph(3), DefectParams(1, 2))
     k4 = WeightedInstance.uniform(complete_graph(4), DefectParams(1, 2))
     assert _plan(triangle.graph).blocks == () == _plan(k4.graph).blocks
@@ -623,14 +623,12 @@ def test_graphs_without_a_split_off_block_search_every_signing():
         (scan_stream(WeightedInstance.uniform(cycle_graph(3), P00), range(8)), 1, 10),
         (scan_stream(triangle, range(8)), 8, 33),
         (scan_stream(k4, range(64)), 64, 440),
-        (sample_covers(triangle, 200, 5), 200, 827),
-        (sample_covers(k4, 200, 5), 200, 1348),
+        # 200 draws over the 8 and 64 signings: the repeats cost no search
+        (sample_covers(triangle, 200, 5), 200, 33),
+        (sample_covers(k4, 200, 5), 200, 421),
     ]
     for scan, examined, nodes in cases:
         assert (scan.signings_examined, scan.nodes_expanded) == (examined, nodes)
-    # with no memo, a repeated signing is searched again
-    once = scan_stream(k4, [5])
-    assert scan_stream(k4, [5] * 3).nodes_expanded == 3 * once.nodes_expanded
 
 
 # ---------------------------------------------------------------------------
@@ -675,3 +673,152 @@ def trees_plus_edges(draw):
 @given(trees_plus_edges())
 def test_load_dp_agrees_with_the_walk_on_trees_plus_edges(inst):
     _agrees_with_the_walk(inst)
+
+
+# ---------------------------------------------------------------------------
+# The block-cut tree shared by `_plan` and the load DP
+# ---------------------------------------------------------------------------
+
+def blocks_by_separation(graph):
+    """The blocks as sorted lists of edge indices, by the rule that edges
+    wa and wb lie in one block iff a and b are connected in G - w."""
+    edges = graph.sorted_edges
+    block_of = list(range(len(edges)))  # union-find over the edges
+
+    def find(k):
+        while block_of[k] != k:
+            block_of[k] = k = block_of[block_of[k]]
+        return k
+
+    for w in range(graph.n):
+        side = {}  # each vertex of G - w -> a label of its component
+        for start in range(graph.n):
+            if start != w and start not in side:
+                side[start], stack = start, [start]
+                while stack:
+                    for u in graph.adjacency[stack.pop()]:
+                        if u != w and u not in side:
+                            side[u] = start
+                            stack.append(u)
+        for a, b in itertools.combinations(graph.adjacency[w], 2):
+            if side[a] == side[b]:
+                ka = graph.edge_index[(min(a, w), max(a, w))]
+                kb = graph.edge_index[(min(b, w), max(b, w))]
+                block_of[find(ka)] = find(kb)
+    groups = {}
+    for k in range(len(edges)):
+        groups.setdefault(find(k), set()).add(k)
+    return sorted(map(sorted, groups.values()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees_plus_edges())
+def test_block_cut_tree_matches_the_separation_rule(inst):
+    graph = inst.graph
+    edges = graph.sorted_edges
+    tree = _biconnected_components(graph)
+    assert tree is _biconnected_components(SimpleGraph.from_edges(graph.n, edges))  # cached
+    assert sorted(list(block) for _, block, _ in tree) == blocks_by_separation(graph)
+    for index, (top, block, vertices) in enumerate(tree):
+        assert list(block) == sorted(block)
+        assert list(vertices) == sorted({v for k in block for v in edges[k]})
+        assert top in vertices
+        # a block comes after every block that hangs from its other vertices
+        assert all(t == top or t not in vertices for t, _, _ in tree[index + 1:])
+
+
+@settings(max_examples=100, deadline=None)
+@given(trees_plus_edges())
+def test_plan_and_load_dp_see_the_same_blocks(inst):
+    graph = inst.graph
+    _uncolorable_by_loads(inst, {})
+    tree = _biconnected_components(graph)
+    # the DP read the cached tree without changing it
+    assert tree == _biconnected_components.__wrapped__(graph)
+    plan = _plan(graph)
+    masks = {sum(1 << k for k in block): vertices for _, block, vertices in tree}
+    for cut, mask, _ in plan.blocks:
+        assert cut in masks[mask]
+    leaf_edges = sum(mask for _, mask, _ in plan.blocks)
+    assert plan.core_mask == ((1 << graph.edge_count()) - 1) ^ leaf_edges
+
+
+# The leaf blocks (cut vertex, edge mask), `cuts` and `core_mask` of `_plan`
+# for the (1,2,1) host (key None) and each G - e, as recorded before the
+# block-cut tree was cached: the sampled sweep runs the same searches.
+PLAN_121 = {
+    None: ([(0, 98311), (0, 393272), (0, 1573312), (0, 6295040), (0, 25194496)], ((0, 5),), 0),
+    (0, 1): ([(0, 49155), (0, 196636), (0, 786656), (0, 3147520), (0, 12597248)], ((0, 5),), 0),
+    (0, 2): (
+        [(1, 16384), (0, 196636), (0, 786656), (0, 3147520), (0, 12597248)],
+        ((1, 1), (0, 4)), 32771,
+    ),
+    (0, 3): (
+        [(1, 32768), (0, 196636), (0, 786656), (0, 3147520), (0, 12597248)],
+        ((1, 1), (0, 4)), 16387,
+    ),
+    (0, 4): ([(0, 49159), (0, 196632), (0, 786656), (0, 3147520), (0, 12597248)], ((0, 5),), 0),
+    (0, 5): (
+        [(0, 49159), (4, 65536), (0, 786656), (0, 3147520), (0, 12597248)],
+        ((0, 4), (4, 1)), 131096,
+    ),
+    (0, 6): (
+        [(0, 49159), (4, 131072), (0, 786656), (0, 3147520), (0, 12597248)],
+        ((0, 4), (4, 1)), 65560,
+    ),
+    (0, 7): ([(0, 49159), (0, 196664), (0, 786624), (0, 3147520), (0, 12597248)], ((0, 5),), 0),
+    (0, 8): (
+        [(0, 49159), (0, 196664), (7, 262144), (0, 3147520), (0, 12597248)],
+        ((0, 4), (7, 1)), 524480,
+    ),
+    (0, 9): (
+        [(0, 49159), (0, 196664), (7, 524288), (0, 3147520), (0, 12597248)],
+        ((0, 4), (7, 1)), 262336,
+    ),
+    (0, 10): ([(0, 49159), (0, 196664), (0, 786880), (0, 3147264), (0, 12597248)], ((0, 5),), 0),
+    (0, 11): (
+        [(0, 49159), (0, 196664), (0, 786880), (10, 1048576), (0, 12597248)],
+        ((0, 4), (10, 1)), 2098688,
+    ),
+    (0, 12): (
+        [(0, 49159), (0, 196664), (0, 786880), (10, 2097152), (0, 12597248)],
+        ((0, 4), (10, 1)), 1050112,
+    ),
+    (0, 13): ([(0, 49159), (0, 196664), (0, 786880), (0, 3149312), (0, 12595200)], ((0, 5),), 0),
+    (0, 14): (
+        [(0, 49159), (0, 196664), (0, 786880), (0, 3149312), (13, 4194304)],
+        ((0, 4), (13, 1)), 8400896,
+    ),
+    (0, 15): (
+        [(0, 49159), (0, 196664), (0, 786880), (0, 3149312), (13, 8388608)],
+        ((0, 4), (13, 1)), 4206592,
+    ),
+    (1, 2): ([(0, 32773), (0, 2), (0, 196664), (0, 786880), (0, 3149312), (0, 12611584)],
+             ((0, 6),), 0),
+    (1, 3): ([(0, 32771), (0, 4), (0, 196664), (0, 786880), (0, 3149312), (0, 12611584)],
+             ((0, 6),), 0),
+    (4, 5): ([(0, 98311), (0, 131112), (0, 16), (0, 786880), (0, 3149312), (0, 12611584)],
+             ((0, 6),), 0),
+    (4, 6): ([(0, 98311), (0, 131096), (0, 32), (0, 786880), (0, 3149312), (0, 12611584)],
+             ((0, 6),), 0),
+    (7, 8): ([(0, 98311), (0, 393272), (0, 524608), (0, 128), (0, 3149312), (0, 12611584)],
+             ((0, 6),), 0),
+    (7, 9): ([(0, 98311), (0, 393272), (0, 524480), (0, 256), (0, 3149312), (0, 12611584)],
+             ((0, 6),), 0),
+    (10, 11): ([(0, 98311), (0, 393272), (0, 1573312), (0, 2099712), (0, 1024), (0, 12611584)],
+               ((0, 6),), 0),
+    (10, 12): ([(0, 98311), (0, 393272), (0, 1573312), (0, 2098688), (0, 2048), (0, 12611584)],
+               ((0, 6),), 0),
+    (13, 14): ([(0, 98311), (0, 393272), (0, 1573312), (0, 6295040), (0, 8409088), (0, 8192)],
+               ((0, 6),), 0),
+    (13, 15): ([(0, 98311), (0, 393272), (0, 1573312), (0, 6295040), (0, 8400896), (0, 16384)],
+               ((0, 6),), 0),
+}
+
+
+def test_plan_of_the_121_host_and_each_deletion_is_pinned():
+    host, _ = flag_path_instance(DefectParams(1, 2), 1)
+    assert list(PLAN_121) == [None, *host.graph.sorted_edges]
+    for edge, pinned in PLAN_121.items():
+        plan = _plan((host.without_edge(edge) if edge else host).graph)
+        assert ([(cut, mask) for cut, mask, _ in plan.blocks], plan.cuts, plan.core_mask) == pinned
